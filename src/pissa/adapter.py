@@ -15,7 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import RandomSource, ShapeError, as_matrix, exact_svd, frobenius_norm
+from .linalg import (RandomSource, ShapeError, SvdFactors, as_matrix, exact_svd,
+                     frobenius_norm)
 
 
 class InitStrategy(Enum):
@@ -88,6 +89,29 @@ def _check_rank(w: np.ndarray, r: int) -> None:
         raise ValueError(f"rank {r} out of range for matrix of shape {w.shape}")
 
 
+def _split(f: SvdFactors, lo: int, hi: int) -> AdapterPair:
+    # Square-root split of components [lo, hi). A and B are C-contiguous like a
+    # reloaded checkpoint's, so both train to the same bits (layout sets rounding).
+    root = np.sqrt(f.s[lo:hi])
+    a = np.ascontiguousarray(f.u[:, lo:hi] * root)
+    b = np.ascontiguousarray(root[:, None] * f.v[:, lo:hi].T)
+    return AdapterPair(a, b, hi - lo)
+
+
+def _svd_layer(w: np.ndarray, lo: int, hi: int, origin: str) -> DecomposedLayer:
+    # Adapter from components [lo, hi) of w, base from all the others.
+    f = exact_svd(w)
+    cut = np.s_[lo:hi]
+    base = ((np.delete(f.u, cut, axis=1) * np.delete(f.s, cut))
+            @ np.delete(f.v.T, cut, axis=0))
+    return DecomposedLayer(base=base, adapter=_split(f, lo, hi), origin=origin)
+
+
+def _gaussian_zero(shape: tuple[int, int], r: int, rng: RandomSource) -> AdapterPair:
+    a = rng.normal((shape[0], r)) * np.sqrt(1.0 / r)
+    return AdapterPair(a, np.zeros((r, shape[1]), dtype=np.float64), r)
+
+
 def pissa_init(w: np.ndarray, r: int) -> DecomposedLayer:
     """Split w into a rank-r principal adapter and a frozen residual base.
 
@@ -96,12 +120,7 @@ def pissa_init(w: np.ndarray, r: int) -> DecomposedLayer:
     """
     w = as_matrix(w)
     _check_rank(w, r)
-    f = exact_svd(w)
-    root = np.sqrt(f.s[:r])
-    a = f.u[:, :r] * root
-    b = root[:, None] * f.v[:, :r].T
-    base = (f.u[:, r:] * f.s[r:]) @ f.v[:, r:].T
-    return DecomposedLayer(base=base, adapter=AdapterPair(a, b, r), origin="pissa")
+    return _svd_layer(w, 0, r, "pissa")
 
 
 def lora_init(w: np.ndarray, r: int, rng: RandomSource) -> DecomposedLayer:
@@ -112,10 +131,8 @@ def lora_init(w: np.ndarray, r: int, rng: RandomSource) -> DecomposedLayer:
     """
     w = as_matrix(w)
     _check_rank(w, r)
-    m, n = w.shape
-    a = rng.normal((m, r)) * np.sqrt(1.0 / r)
-    b = np.zeros((r, n), dtype=np.float64)
-    return DecomposedLayer(base=w.copy(), adapter=AdapterPair(a, b, r), origin="lora")
+    return DecomposedLayer(base=w.copy(), adapter=_gaussian_zero(w.shape, r, rng),
+                           origin="lora")
 
 
 def _window(strategy: InitStrategy, k: int, r: int) -> tuple[int, int]:
@@ -138,19 +155,8 @@ def variant_init(w: np.ndarray, r: int, strategy: InitStrategy) -> DecomposedLay
     """
     w = as_matrix(w)
     _check_rank(w, r)
-    f = exact_svd(w)
-    k = f.rank
-    lo, hi = _window(strategy, k, r)
-    if lo < 0 or hi > k:
-        raise ValueError(f"singular window [{lo}, {hi}) exceeds spectrum size {k}")
-    idx = np.arange(lo, hi)
-    rest = np.concatenate([np.arange(0, lo), np.arange(hi, k)])
-    root = np.sqrt(f.s[idx])
-    a = f.u[:, idx] * root
-    b = root[:, None] * f.v[:, idx].T
-    base = (f.u[:, rest] * f.s[rest]) @ f.v[:, rest].T
-    return DecomposedLayer(base=base, adapter=AdapterPair(a, b, r),
-                           origin=strategy.value)
+    lo, hi = _window(strategy, min(w.shape), r)  # in range, as 1 <= r <= k
+    return _svd_layer(w, lo, hi, strategy.value)
 
 
 def forward(layer: DecomposedLayer, x: np.ndarray) -> np.ndarray:

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
-import os
-import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -22,9 +21,10 @@ import numpy as np
 from ..adapter import reconstruction_error, pissa_init
 from ..linalg import PRNG_NAME, RandomSource, exact_svd, frobenius_norm, randomized_svd
 from ..quant import QuantConfig, qlora_init, loftq_init, qpissa_init, quant_report
-from ..train import (Dataset, MlpModel, TrainConfig, gradcheck,
+from ..train import (STRATEGIES, Dataset, MlpModel, TrainConfig, gradcheck,
                      inject_adapters, pretrain_mlp, run_finetune)
 from .data import generate_cluster_dataset, generate_spectral_matrix
+from .matrix_io import _atomic_write
 
 KINDS = ("decompose", "quant-bench", "converge", "fastsvd-bench",
          "gradcheck", "ablation")
@@ -61,6 +61,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind: {self.kind}")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        unknown = [s for s in self.strategies if s not in STRATEGIES]
+        if unknown:
+            raise ValueError(f"unknown init strategy: {', '.join(unknown)}")
         if any(r > min(self.m, self.n) for r in self.ranks):
             raise ValueError("rank exceeds min(m, n)")
         if self.fmt not in ("csv", "json"):
@@ -79,8 +82,7 @@ def _fmt(value):
 
 def _write_report(spec: ExperimentSpec, rows: list[dict]) -> None:
     path = Path(spec.out)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     header = {"config": asdict(spec), "config_hash": spec.config_hash(),
               "generator": PRNG_NAME}
     if spec.fmt == "json":
@@ -88,18 +90,14 @@ def _write_report(spec: ExperimentSpec, rows: list[dict]) -> None:
                              default=str) + "\n"
     else:
         keys = sorted({k for row in rows for k in row})
-        import io as _io
-        buf = _io.StringIO()
+        buf = io.StringIO()
         buf.write("# " + json.dumps(header, sort_keys=True, default=str) + "\n")
         writer = csv.DictWriter(buf, fieldnames=keys)
         writer.writeheader()
         for row in rows:
             writer.writerow({k: _fmt(v) for k, v in row.items()})
         payload = buf.getvalue()
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name + ".")
-    with os.fdopen(fd, "w") as f:
-        f.write(payload)
-    os.replace(tmp, path)
+    _atomic_write(path, payload.encode())
 
 
 def _base_row(spec: ExperimentSpec, seed: int) -> dict:
@@ -221,13 +219,11 @@ def _rows_converge(spec: ExperimentSpec) -> list[dict]:
 
 def _write_trace(path, trace) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=Path(path).parent, prefix=Path(path).name)
-    with os.fdopen(fd, "w") as f:
-        f.write("step,loss,grad_norm,lr\n")
-        for i in range(len(trace)):
-            f.write(f"{i},{trace.losses[i]:.17g},"
-                    f"{trace.grad_norms[i]:.17g},{trace.lrs[i]:.17g}\n")
-    os.replace(tmp, path)
+    lines = ["step,loss,grad_norm,lr\n"]
+    for i in range(len(trace)):
+        lines.append(f"{i},{trace.losses[i]:.17g},"
+                     f"{trace.grad_norms[i]:.17g},{trace.lrs[i]:.17g}\n")
+    _atomic_write(path, "".join(lines).encode())
 
 
 def _rows_ablation(spec: ExperimentSpec) -> list[dict]:

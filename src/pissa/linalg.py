@@ -111,6 +111,13 @@ def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u * signs, v * signs
 
 
+def _signed_factors(w: np.ndarray, u, s, vt) -> tuple[SvdFactors, float]:
+    # Factors in the sign convention plus their relative reconstruction residual.
+    u, v = _fix_signs(u, vt.T)
+    factors = SvdFactors(u, s, v)
+    return factors, frobenius_norm(factors.reconstruct() - w) / max(1.0, frobenius_norm(w))
+
+
 def exact_svd(w: np.ndarray) -> SvdFactors:
     """Economy SVD with descending singular values and a fixed sign convention.
 
@@ -119,20 +126,20 @@ def exact_svd(w: np.ndarray) -> SvdFactors:
     """
     w = as_matrix(w)
     try:
-        u, s, vt = np.linalg.svd(w, full_matrices=False)
+        factors, resid = _signed_factors(w, *np.linalg.svd(w, full_matrices=False))
     except np.linalg.LinAlgError:
-        # gesdd occasionally fails on near-degenerate spectra; the slower
-        # Jacobi-free gesvd driver is far more robust.
+        resid = np.inf
+    if resid > 1e-10:
+        # gesdd occasionally fails, or misses the contract, on near-degenerate
+        # spectra; the slower Jacobi-free gesvd driver is far more robust.
         from scipy import linalg as sla
         try:
-            u, s, vt = sla.svd(w, full_matrices=False, lapack_driver="gesvd")
+            factors, resid = _signed_factors(
+                w, *sla.svd(w, full_matrices=False, lapack_driver="gesvd"))
         except sla.LinAlgError as exc:
             raise NumericalError(f"SVD did not converge: {exc}") from exc
-    u, v = _fix_signs(u, vt.T)
-    factors = SvdFactors(u, s, v)
-    resid = frobenius_norm(factors.reconstruct() - w) / max(1.0, frobenius_norm(w))
-    if resid > 1e-10:
-        raise NumericalError(f"SVD reconstruction residual {resid:.3e} exceeds 1e-10")
+        if resid > 1e-10:
+            raise NumericalError(f"SVD reconstruction residual {resid:.3e} exceeds 1e-10")
     return factors
 
 

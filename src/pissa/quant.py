@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
+from . import adapter
 from .linalg import (RandomSource, as_matrix, exact_svd, frobenius_norm,
                      nuclear_norm)
 
@@ -40,10 +41,6 @@ class Nf4Codebook:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.levels, dtype=np.float64)
-
-    @property
-    def max_gap(self) -> float:
-        return float(np.max(np.diff(self.as_array())))
 
 
 def build_nf4_codebook() -> Nf4Codebook:
@@ -148,26 +145,36 @@ def qlora_error(w: np.ndarray, cfg: QuantConfig | None = None) -> float:
     return nuclear_norm(w - dequantize(quantize(w, cfg)))
 
 
-def _principal_factors(w: np.ndarray, r: int):
-    # Rank-r adapter pair from the top singular triplets, square-root split.
-    f = exact_svd(w).truncate(r)
-    root = np.sqrt(f.s)
-    return f.u * root, root[:, None] * f.v.T
-
-
 def qlora_init(w: np.ndarray, r: int, rng: RandomSource,
                cfg: QuantConfig | None = None):
     """Quantize the base directly; Gaussian A, zero B (the zero-adapter baseline)."""
-    from .adapter import AdapterPair, DecomposedLayer
     cfg = cfg or QuantConfig()
     w = as_matrix(w)
-    m, n = w.shape
-    if not 1 <= r <= min(m, n):
-        raise ValueError(f"rank {r} out of range for {w.shape}")
-    a = rng.normal((m, r)) * np.sqrt(1.0 / r)
-    b = np.zeros((r, n), dtype=np.float64)
-    pair = AdapterPair(a=a, b=b, rank=r)
-    return DecomposedLayer(base=quantize(w, cfg), adapter=pair, origin="qlora")
+    adapter._check_rank(w, r)
+    return adapter.DecomposedLayer(base=quantize(w, cfg),
+                                   adapter=adapter._gaussian_zero(w.shape, r, rng),
+                                   origin="qlora")
+
+
+def _alternating_init(w: np.ndarray, r: int, T: int, cfg: QuantConfig | None,
+                      quantize_first: bool, origin: str):
+    """T rounds each of fitting (A, B) to w minus the dequantized base and of
+    quantizing w - AB into the base. quantize_first (LoftQ) starts by
+    quantizing w and ends on a fit; otherwise (QPiSSA) the first fit is to w.
+    """
+    cfg = cfg or QuantConfig()
+    w = as_matrix(w)
+    adapter._check_rank(w, r)
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    base = quantize(w, cfg) if quantize_first else None
+    for t in range(T):
+        target = w if base is None else w - dequantize(base)
+        pair = adapter._split(exact_svd(target), 0, r)
+        if quantize_first and t == T - 1:
+            break
+        base = quantize(w - pair.a @ pair.b, cfg)
+    return adapter.DecomposedLayer(base=base, adapter=pair, origin=origin)
 
 
 def qpissa_init(w: np.ndarray, r: int, T: int = 1,
@@ -178,20 +185,7 @@ def qpissa_init(w: np.ndarray, r: int, T: int = 1,
     iterations alternate: refit (A, B) from the SVD of w minus the
     dequantized base, then re-quantize w - AB.
     """
-    from .adapter import AdapterPair, DecomposedLayer
-    cfg = cfg or QuantConfig()
-    w = as_matrix(w)
-    if not 1 <= r <= min(w.shape):
-        raise ValueError(f"rank {r} out of range for {w.shape}")
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    a, b = _principal_factors(w, r)
-    base = quantize(w - a @ b, cfg)
-    for _ in range(T - 1):
-        a, b = _principal_factors(w - dequantize(base), r)
-        base = quantize(w - a @ b, cfg)
-    pair = AdapterPair(a=a, b=b, rank=r)
-    return DecomposedLayer(base=base, adapter=pair, origin="qpissa")
+    return _alternating_init(w, r, T, cfg, quantize_first=False, origin="qpissa")
 
 
 def loftq_init(w: np.ndarray, r: int, T: int = 1,
@@ -202,20 +196,14 @@ def loftq_init(w: np.ndarray, r: int, T: int = 1,
     quantization error; further iterations re-quantize w - AB before
     refitting.
     """
-    from .adapter import AdapterPair, DecomposedLayer
-    cfg = cfg or QuantConfig()
-    w = as_matrix(w)
-    if not 1 <= r <= min(w.shape):
-        raise ValueError(f"rank {r} out of range for {w.shape}")
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    base = quantize(w, cfg)
-    a, b = _principal_factors(w - dequantize(base), r)
-    for _ in range(T - 1):
-        base = quantize(w - a @ b, cfg)
-        a, b = _principal_factors(w - dequantize(base), r)
-    pair = AdapterPair(a=a, b=b, rank=r)
-    return DecomposedLayer(base=base, adapter=pair, origin="loftq")
+    return _alternating_init(w, r, T, cfg, quantize_first=True, origin="loftq")
+
+
+def _reduction_percent(w: np.ndarray, err: float, cfg: QuantConfig) -> float:
+    denom = qlora_error(w, cfg)
+    if denom == 0.0:
+        raise ZeroDivisionError("direct quantization error is zero; ratio undefined")
+    return (1.0 - err / denom) * 100.0
 
 
 def error_reduction_ratio(w: np.ndarray, layer, cfg: QuantConfig | None = None) -> float:
@@ -224,13 +212,8 @@ def error_reduction_ratio(w: np.ndarray, layer, cfg: QuantConfig | None = None) 
     Positive means the layer's base+adapter beats quantizing w outright;
     the zero-adapter baseline yields exactly 0.
     """
-    from .adapter import merge
     cfg = cfg or QuantConfig()
-    denom = qlora_error(w, cfg)
-    if denom == 0.0:
-        raise ZeroDivisionError("direct quantization error is zero; ratio undefined")
-    err = nuclear_norm(w - merge(layer))
-    return (1.0 - err / denom) * 100.0
+    return _reduction_percent(w, nuclear_norm(w - adapter.merge(layer)), cfg)
 
 
 @dataclass
@@ -239,23 +222,21 @@ class QuantReport:
 
     method: str
     rank: int
-    iters: int
     nuclear_error: float
     frobenius_error: float
     reduction_ratio_percent: float
 
 
 def quant_report(w: np.ndarray, layer, cfg: QuantConfig | None = None) -> QuantReport:
-    from .adapter import merge
     cfg = cfg or QuantConfig()
-    err_matrix = w - merge(layer)
+    err_matrix = w - adapter.merge(layer)
+    nuclear = nuclear_norm(err_matrix)
     return QuantReport(
         method=layer.origin,
         rank=layer.adapter.rank,
-        iters=getattr(layer, "iters", 0),
-        nuclear_error=nuclear_norm(err_matrix),
+        nuclear_error=nuclear,
         frobenius_error=frobenius_norm(err_matrix),
-        reduction_ratio_percent=error_reduction_ratio(w, layer, cfg),
+        reduction_ratio_percent=_reduction_percent(w, nuclear, cfg),
     )
 
 

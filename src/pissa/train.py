@@ -13,10 +13,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adapter import (AdapterPair, DecomposedLayer, InitStrategy,
-                      adapter_gradients, dense_base, lora_init, merge,
-                      variant_init)
+from .adapter import (DecomposedLayer, InitStrategy, adapter_gradients,
+                      lora_init, merge, variant_init)
 from .linalg import RandomSource, ShapeError, as_matrix
+from .quant import loftq_init, qlora_init, qpissa_init
 
 
 class DivergenceError(RuntimeError):
@@ -188,22 +188,26 @@ def cosine_warmup_lr(step: int, cfg: TrainConfig) -> float:
     return cfg.lr * 0.5 * (1.0 + math.cos(math.pi * (step - warmup) / span))
 
 
+# Strategy name -> initializer(w, rank, rng, quant_cfg, iters). The lambdas
+# look the initializers up at call time, so patched module attributes apply.
+STRATEGIES = {
+    "pissa": lambda w, r, rng, cfg, t: variant_init(w, r, InitStrategy.PRINCIPAL),
+    "principal": lambda w, r, rng, cfg, t: variant_init(w, r, InitStrategy.PRINCIPAL),
+    "medium": lambda w, r, rng, cfg, t: variant_init(w, r, InitStrategy.MEDIUM),
+    "minor": lambda w, r, rng, cfg, t: variant_init(w, r, InitStrategy.MINOR),
+    "lora": lambda w, r, rng, cfg, t: lora_init(w, r, rng),
+    "gaussian_zero": lambda w, r, rng, cfg, t: lora_init(w, r, rng),
+    "qpissa": lambda w, r, rng, cfg, t: qpissa_init(w, r, T=t, cfg=cfg),
+    "loftq": lambda w, r, rng, cfg, t: loftq_init(w, r, T=t, cfg=cfg),
+    "qlora": lambda w, r, rng, cfg, t: qlora_init(w, r, rng, cfg=cfg),
+}
+
+
 def _init_layer(w: np.ndarray, rank: int, strategy: str, rng: RandomSource,
                 quant_cfg=None, iters: int = 1) -> DecomposedLayer:
-    from .quant import loftq_init, qlora_init, qpissa_init
-    if strategy in ("pissa", "principal"):
-        return variant_init(w, rank, InitStrategy.PRINCIPAL)
-    if strategy in ("lora", "gaussian_zero"):
-        return lora_init(w, rank, rng)
-    if strategy in ("medium", "minor"):
-        return variant_init(w, rank, InitStrategy(strategy))
-    if strategy == "qpissa":
-        return qpissa_init(w, rank, T=iters, cfg=quant_cfg)
-    if strategy == "loftq":
-        return loftq_init(w, rank, T=iters, cfg=quant_cfg)
-    if strategy == "qlora":
-        return qlora_init(w, rank, rng, cfg=quant_cfg)
-    raise ValueError(f"unknown init strategy: {strategy}")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown init strategy: {strategy}")
+    return STRATEGIES[strategy](w, rank, rng, quant_cfg, iters)
 
 
 def inject_adapters(model: MlpModel, rank: int, strategy: str,

@@ -254,9 +254,14 @@ def test_every_full_precision_init_reconstructs(seed):
     n = int(gen.integers(4, 40))
     r = int(gen.integers(1, min(m, n) + 1))
     w = gen.standard_normal((m, n))
+    layers = [pissa_init(w, r)]
     for strategy in InitStrategy:
         if strategy is InitStrategy.GAUSSIAN_ZERO:
-            layer = lora_init(w, r, RandomSource(seed))
+            layers.append(lora_init(w, r, RandomSource(seed)))
         else:
-            layer = variant_init(w, r, strategy)
+            layers.append(variant_init(w, r, strategy))
+    for layer in layers:
         assert reconstruction_error(w, layer) <= 1e-10
+        # The layout of a reloaded checkpoint, so both train identically.
+        assert layer.adapter.a.flags.c_contiguous
+        assert layer.adapter.b.flags.c_contiguous

@@ -18,6 +18,8 @@ from pissa.harness.matrix_io import (FileFormatError, load_adapter_dir,
                                      save_quantized)
 from pissa.linalg import RandomSource, exact_svd, nuclear_norm
 from pissa.quant import QuantConfig, dequantize, qpissa_init, quantize
+from pissa.train import (Dataset, MlpModel, TrainConfig, inject_adapters,
+                         train_model)
 
 
 class TestSpectralMatrix:
@@ -197,6 +199,33 @@ class TestAdapterCheckpoints:
         with pytest.raises(FileFormatError):
             load_adapter_dir(tmp_path / "nb")
 
+    @pytest.mark.parametrize("strategy", ["pissa", "medium", "qpissa", "loftq",
+                                          "lora", "qlora"])
+    def test_reloaded_adapter_trains_like_in_memory(self, tmp_path, strategy):
+        # Factor memory layout changes BLAS rounding, so a reloaded
+        # checkpoint (always C-contiguous) only replays the in-memory trace
+        # if every initializer hands out C-contiguous factors too.
+        rng = RandomSource(0)
+        d, h, c = 32, 24, 10
+        model = MlpModel(rng.spawn(0).normal((d, h)), rng.spawn(1).normal(h) * 0.1,
+                         rng.spawn(2).normal((h, c)), rng.spawn(3).normal(c) * 0.1)
+        gen = RandomSource(1).generator()
+        data = Dataset(gen.standard_normal((64, d)), gen.integers(0, c, size=64))
+        in_memory = inject_adapters(model, 2, strategy, RandomSource(3))
+        layers = []
+        for name, layer in (("l1", in_memory.layer1), ("l2", in_memory.layer2)):
+            assert layer.adapter.a.flags.c_contiguous
+            assert layer.adapter.b.flags.c_contiguous
+            save_adapter_dir(tmp_path / name, layer)
+            layers.append(load_adapter_dir(tmp_path / name))
+        reloaded = MlpModel(layers[0], model.bias1.copy(), layers[1],
+                            model.bias2.copy())
+        cfg = TrainConfig(lr=1e-2, batch_size=16, steps=30, seed=0)
+        t1 = train_model(in_memory, data, cfg)
+        t2 = train_model(reloaded, data, cfg)
+        assert np.array_equal(t1.losses, t2.losses)
+        assert np.array_equal(t1.grad_norms, t2.grad_norms)
+
 
 def tiny_spec(kind, tmp_path, **kw):
     defaults = dict(m=24, n=24, ranks=(4,), iters=(1, 2), niters=(1, 4),
@@ -210,6 +239,16 @@ class TestExperiments:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ExperimentSpec(kind="nope")
+
+    def test_unknown_strategy_rejected_before_any_work(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="bogus"):
+            ExperimentSpec(kind="converge", strategies=("pissa", "bogus"))
+        out = tmp_path / "conv.csv"
+        code = main(["converge", "--strategies", "pissa,bogus", "--seeds", "0",
+                     "--out", str(out)])
+        assert code == 2
+        assert "unknown init strategy: bogus" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_config_hash_stable_and_sensitive(self, tmp_path):
         a = tiny_spec("decompose", tmp_path)

@@ -111,6 +111,25 @@ class TestExactSvd:
         idx = np.argmax(np.abs(f.u), axis=0)
         assert (f.u[idx, np.arange(9)] >= 0).all()
 
+    def test_contract_miss_falls_back_then_raises(self, monkeypatch):
+        from scipy import linalg as sla
+        w = power_law_matrix(12, 10, 1.0, 0)
+        good = exact_svd(w)
+        svd = np.linalg.svd
+
+        def off(m, **kwargs):
+            # A driver that returns but misses the reconstruction contract.
+            u, s, vt = svd(m, full_matrices=False)
+            return u, s * (1 + 1e-6), vt
+
+        monkeypatch.setattr(np.linalg, "svd", off)
+        fallback = exact_svd(w)
+        assert frobenius_norm(fallback.reconstruct() - w) <= 1e-10
+        np.testing.assert_allclose(fallback.s, good.s, rtol=1e-12)
+        monkeypatch.setattr(sla, "svd", off)
+        with pytest.raises(NumericalError, match="residual"):
+            exact_svd(w)
+
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             exact_svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))

@@ -5,12 +5,13 @@ import pytest
 from scipy import stats
 
 from pissa.adapter import merge, pissa_init
+from pissa.harness.data import generate_spectral_matrix
 from pissa.linalg import RandomSource, exact_svd, frobenius_norm, nuclear_norm
 from pissa.quant import (Nf4Codebook, QuantConfig, build_nf4_codebook,
                          dequantize, distribution_diagnostics,
                          error_reduction_ratio, loftq_init, qlora_error,
-                         qlora_init, qpissa_init, quantization_error_bound,
-                         quantize)
+                         qlora_init, qpissa_init, quant_report,
+                         quantization_error_bound, quantize)
 from tests.test_linalg import power_law_matrix
 
 # Frozen output of the quantile construction (see the oracle test below).
@@ -231,6 +232,23 @@ class TestErrorReductionRatio:
         layer = qlora_init(np.ones((4, 4)), 2, RandomSource(0))
         with pytest.raises(ZeroDivisionError):
             error_reduction_ratio(w, layer)
+
+    def test_report_ratio_matches_standalone_ratio(self):
+        cfg = QuantConfig()
+        w = power_law_matrix(32, 32, 1.0, 5)
+        layer = loftq_init(w, 4, 2, cfg)
+        rep = quant_report(w, layer, cfg)
+        assert rep.reduction_ratio_percent == error_reduction_ratio(w, layer, cfg)
+        assert rep.nuclear_error == nuclear_norm(w - merge(layer))
+
+    @pytest.mark.parametrize("seed", [9, 34, 53])
+    def test_report_on_rank_deficient_residual(self, seed):
+        # The error matrix left by LoftQ is numerically rank deficient; on
+        # these matrices gesdd returns factors that miss the 1e-10
+        # reconstruction contract, and exact_svd must fall back to gesvd.
+        w = generate_spectral_matrix(128, 128, 1.0, seed)
+        rep = quant_report(w, loftq_init(w, 16, 1))
+        assert 0.0 < rep.reduction_ratio_percent < 100.0
 
 
 class TestDistributionDiagnostics:
