@@ -12,6 +12,11 @@ from ..train import Dataset
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
+# Names the bits the generators produce; bumped when a kernel change alters
+# them on purpose. v2: qr_thin runs LAPACK geqrf, which flips the sign of the
+# smallest component of a non-square spectral matrix.
+DATA_VERSION = "spectral-v2"
+
 
 def generate_spectral_matrix(m: int, n: int, alpha: float,
                              seed: int) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Experiment orchestration: reproducible desk-scale studies over seeds.
 
 Each experiment kind expands into one report row per (seed x configuration).
-Rows carry the seed, the PRNG name, and a hash of the full spec so any
-report can be replayed bit-for-bit. Per-row failures are recorded and the
-run continues.
+Rows carry the seed, the PRNG name, and a hash of the spec (output options
+excluded) so any report can be replayed bit-for-bit. Per-row failures are
+recorded and the run continues.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from ..linalg import PRNG_NAME, RandomSource, exact_svd, frobenius_norm, randomi
 from ..quant import QuantConfig, qlora_init, loftq_init, qpissa_init, quant_report
 from ..train import (STRATEGIES, Dataset, MlpModel, TrainConfig, gradcheck,
                      inject_adapters, pretrain_mlp, run_finetune)
-from .data import generate_cluster_dataset, generate_spectral_matrix
+from .data import DATA_VERSION, generate_cluster_dataset, generate_spectral_matrix
 from .matrix_io import _atomic_write
 
 KINDS = ("decompose", "quant-bench", "converge", "fastsvd-bench",
@@ -70,7 +70,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown format: {self.fmt}")
 
     def config_hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True, default=str)
+        """Hash of the experiment identity; the output options are left out."""
+        identity = {k: v for k, v in asdict(self).items()
+                    if k not in ("out", "fmt")}
+        blob = json.dumps(identity, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -84,7 +87,7 @@ def _write_report(spec: ExperimentSpec, rows: list[dict]) -> None:
     path = Path(spec.out)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = {"config": asdict(spec), "config_hash": spec.config_hash(),
-              "generator": PRNG_NAME}
+              "generator": PRNG_NAME, "data_version": DATA_VERSION}
     if spec.fmt == "json":
         payload = json.dumps({"header": header, "rows": rows}, indent=2,
                              default=str) + "\n"

@@ -144,31 +144,17 @@ def exact_svd(w: np.ndarray) -> SvdFactors:
 
 
 def qr_thin(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR via Householder reflections; requires rows >= cols.
+    """Thin QR via LAPACK's Householder geqrf; requires rows >= cols.
 
-    An exactly-zero column produces a zero reflector (no pivoting), leaving
-    a zero on the corresponding diagonal of r.
+    Each reflected column gets r_jj = -sign(x_0) * ||x||. A column already
+    zero below the diagonal (the last column of a square input, or an
+    exactly-zero column) is left unreflected, so its r_jj keeps its sign
+    and a zero column leaves a zero on the diagonal of r.
     """
     m = as_matrix(m)
-    rows, cols = m.shape
-    if rows < cols:
+    if m.shape[0] < m.shape[1]:
         raise ShapeError(f"qr_thin needs rows >= cols, got {m.shape}")
-    r = m.copy()
-    q = np.eye(rows, dtype=np.float64)
-    for j in range(cols):
-        x = r[j:, j]
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
-            continue
-        v = x.copy()
-        v[0] += np.copysign(norm_x, x[0]) if x[0] != 0 else norm_x
-        vnorm = np.linalg.norm(v)
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
-        r[j:, j:] -= 2.0 * np.outer(v, v @ r[j:, j:])
-        q[:, j:] -= 2.0 * np.outer(q[:, j:] @ v, v)
-    return q[:, :cols], np.triu(r[:cols, :])
+    return np.linalg.qr(m, mode="reduced")
 
 
 def randomized_svd(w: np.ndarray, r: int, niter: int, rng: RandomSource,

@@ -7,7 +7,8 @@ import pytest
 
 from pissa.adapter import lora_init, pissa_init
 from pissa.harness.cli import main
-from pissa.harness.data import (IdxFormatError, generate_cluster_dataset,
+from pissa.harness.data import (DATA_VERSION, IdxFormatError,
+                                generate_cluster_dataset,
                                 generate_spectral_matrix, load_idx,
                                 load_idx_images, load_idx_labels)
 from pissa.harness.experiments import (ExperimentSpec, matrix_seed,
@@ -256,6 +257,12 @@ class TestExperiments:
         c = tiny_spec("decompose", tmp_path, alpha=2.0)
         assert a.config_hash() == b.config_hash() != c.config_hash()
 
+    def test_config_hash_ignores_output_options(self, tmp_path):
+        a = tiny_spec("decompose", tmp_path)
+        b = tiny_spec("decompose", tmp_path, out=str(tmp_path / "x" / "r.json"),
+                      fmt="json")
+        assert a.config_hash() == b.config_hash()
+
     def test_matrix_seed_deterministic(self, tmp_path):
         spec = tiny_spec("decompose", tmp_path)
         assert matrix_seed(spec, 3) == matrix_seed(spec, 3)
@@ -270,6 +277,7 @@ class TestExperiments:
         header = json.loads(lines[0][2:])
         assert header["config_hash"] == spec.config_hash()
         assert header["generator"] == "pcg64-v1"
+        assert header["data_version"] == DATA_VERSION == "spectral-v2"
         parsed = list(csv.DictReader(lines[1:]))
         assert len(parsed) == 2
         assert float(parsed[0]["recon_err"]) == rows[0]["recon_err"]
@@ -327,6 +335,7 @@ class TestExperiments:
         rows = run_experiment(spec)
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["header"]["config_hash"] == spec.config_hash()
+        assert doc["header"]["data_version"] == DATA_VERSION
         assert len(doc["rows"]) == len(rows)
 
 

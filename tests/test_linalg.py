@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pissa.harness.data import generate_spectral_matrix
 from pissa.linalg import (NumericalError, RandomSource, ShapeError, as_matrix,
                           exact_svd, frobenius_norm, matmul, nuclear_norm,
                           qr_thin, randomized_svd)
@@ -113,7 +114,7 @@ class TestExactSvd:
 
     def test_contract_miss_falls_back_then_raises(self, monkeypatch):
         from scipy import linalg as sla
-        w = power_law_matrix(12, 10, 1.0, 0)
+        w = generate_spectral_matrix(12, 10, 1.0, 0)
         good = exact_svd(w)
         svd = np.linalg.svd
 
@@ -135,7 +136,30 @@ class TestExactSvd:
             exact_svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def householder_qr(m):
+    # Reference: textbook Householder QR with r_jj = -sign(x_0) * ||x||,
+    # reflecting every column. qr_thin agrees with it wherever each column
+    # has a nonzero entry below the diagonal, as tall Gaussian inputs do.
+    rows, cols = m.shape
+    r, q = m.copy(), np.eye(rows)
+    for j in range(cols):
+        v = r[j:, j].copy()
+        v[0] += np.copysign(np.linalg.norm(v), v[0])
+        v /= np.linalg.norm(v)
+        r[j:, j:] -= 2.0 * np.outer(v, v @ r[j:, j:])
+        q[:, j:] -= 2.0 * np.outer(q[:, j:] @ v, v)
+    return q[:, :cols], np.triu(r[:cols])
+
+
 class TestQrThin:
+    @pytest.mark.parametrize("shape", [(6, 4), (40, 13), (128, 26)])
+    def test_matches_householder_reference(self, shape):
+        m = RandomSource(4).normal(shape)
+        q, r = qr_thin(m)
+        q_ref, r_ref = householder_qr(m)
+        np.testing.assert_allclose(q, q_ref, atol=1e-13)
+        np.testing.assert_allclose(r, r_ref, atol=1e-12)
+
     def test_orthonormal_input(self):
         q0, _ = qr_thin(RandomSource(1).normal((6, 4)))
         q, r = qr_thin(q0)
@@ -143,10 +167,18 @@ class TestQrThin:
         np.testing.assert_allclose(q @ r, q0, atol=1e-12)
 
     def test_single_column(self):
+        # A reflected column gets r_jj = -sign(x_0) * ||x||.
         q, r = qr_thin(np.array([[3.0], [4.0]]))
-        np.testing.assert_allclose(np.abs(q), [[0.6], [0.8]], atol=1e-14)
-        assert abs(r[0, 0]) == pytest.approx(5.0)
+        np.testing.assert_allclose(q, [[-0.6], [-0.8]], atol=1e-14)
+        np.testing.assert_allclose(r, [[-5.0]], atol=1e-14)
         np.testing.assert_allclose(q @ r, [[3.0], [4.0]], atol=1e-14)
+
+    def test_square_last_column_unreflected(self):
+        # The last column of a square input is already zero below the
+        # diagonal, so it is not reflected and r_nn keeps its sign.
+        q, r = qr_thin(np.array([[3.0, 1.0], [4.0, 2.0]]))
+        np.testing.assert_allclose(r, [[-5.0, -2.2], [0.0, 0.4]], atol=1e-14)
+        np.testing.assert_allclose(q @ r, [[3.0, 1.0], [4.0, 2.0]], atol=1e-14)
 
     def test_random_8x3(self):
         m = RandomSource(2).normal((8, 3))
@@ -167,15 +199,6 @@ class TestQrThin:
             qr_thin(np.zeros((2, 5)))
 
 
-def power_law_matrix(m, n, alpha, seed):
-    rng = RandomSource(seed)
-    k = min(m, n)
-    u, _ = qr_thin(rng.spawn(0).normal((m, k)))
-    v, _ = qr_thin(rng.spawn(1).normal((n, k)))
-    s = np.arange(1, k + 1, dtype=float) ** (-alpha)
-    return (u * s) @ v.T
-
-
 class TestRandomizedSvd:
     def test_exact_rank_one(self):
         u = RandomSource(0).normal((10, 1))
@@ -191,7 +214,7 @@ class TestRandomizedSvd:
         np.testing.assert_allclose(f.s, [3.0, 2.0], atol=1e-10)
 
     def test_more_iterations_not_worse(self):
-        w = power_law_matrix(64, 64, 1.0, 11)
+        w = generate_spectral_matrix(64, 64, 1.0, 11)
         exact_err = frobenius_norm(exact_svd(w).truncate(16).reconstruct() - w)
         e1 = frobenius_norm(
             randomized_svd(w, 16, 1, RandomSource(0)).reconstruct() - w)
@@ -201,7 +224,7 @@ class TestRandomizedSvd:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_singular_values_match_exact(self, seed):
-        w = power_law_matrix(48, 40, 1.0, seed)
+        w = generate_spectral_matrix(48, 40, 1.0, seed)
         exact = exact_svd(w).truncate(8)
         fast = randomized_svd(w, 8, 16, RandomSource(seed + 100))
         np.testing.assert_allclose(fast.s, exact.s, rtol=1e-4)
