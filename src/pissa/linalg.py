@@ -96,8 +96,13 @@ def frobenius_norm(m: np.ndarray) -> float:
 
 
 def nuclear_norm(m: np.ndarray) -> float:
-    """Sum of singular values (trace norm)."""
-    return float(np.sum(exact_svd(m).s))
+    """Sum of singular values (trace norm).
+
+    Takes the singular values alone and so bypasses, on purpose, the
+    reconstruction check of ``exact_svd``: that contract is about u and v,
+    which are never formed here.
+    """
+    return float(np.sum(np.linalg.svd(as_matrix(m), compute_uv=False)))
 
 
 def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -74,6 +74,24 @@ class TestNorms:
             m = RandomSource(seed).normal((12, 8))
             assert nuclear_norm(m) >= frobenius_norm(m) - 1e-12
 
+    @pytest.mark.parametrize("shape,rank", [((40, 40), 40), ((50, 30), 30),
+                                            ((30, 50), 7), ((64, 64), 3)])
+    def test_nuclear_matches_exact_svd(self, shape, rank):
+        # Random inputs, full rank and numerically rank deficient.
+        src = RandomSource(rank)
+        m = src.normal((shape[0], rank)) @ src.spawn(1).normal((rank, shape[1]))
+        expected = float(np.sum(exact_svd(m).s))
+        assert nuclear_norm(m) == pytest.approx(expected, rel=1e-12)
+
+    def test_nuclear_zero_matrix_is_exactly_zero(self):
+        assert nuclear_norm(np.zeros((5, 3))) == 0.0
+
+    def test_nuclear_rejects_nan_and_vectors(self):
+        with pytest.raises(ValueError):
+            nuclear_norm(np.array([[1.0, np.nan], [0.0, 1.0]]))
+        with pytest.raises(ShapeError):
+            nuclear_norm(np.ones(4))
+
 
 class TestExactSvd:
     def test_identity(self):
