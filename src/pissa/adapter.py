@@ -159,26 +159,37 @@ def variant_init(w: np.ndarray, r: int, strategy: InitStrategy) -> DecomposedLay
     return _svd_layer(w, lo, hi, strategy.value)
 
 
+def _factored(x: np.ndarray, base: np.ndarray, a: np.ndarray, b: np.ndarray,
+              scale: float) -> np.ndarray:
+    # X base + scale (X A) B, never forming base + scale A B. Unchecked, so a
+    # diverged (non-finite) activation flows through to the training loss.
+    # With (base.T, b.T, a.T) it gives the input gradient dY W^T.
+    return x @ base + scale * ((x @ a) @ b)
+
+
 def forward(layer: DecomposedLayer, x: np.ndarray) -> np.ndarray:
     """Y = X base + scale (X A) B, dequantizing the base when needed."""
     x = as_matrix(x)
     if x.shape[1] != layer.shape[0]:
         raise ShapeError(f"input cols {x.shape[1]} != layer rows {layer.shape[0]}")
     p = layer.adapter
-    return x @ dense_base(layer) + p.scale * ((x @ p.a) @ p.b)
+    return _factored(x, dense_base(layer), p.a, p.b, p.scale)
 
 
 def adapter_gradients(x: np.ndarray, d_y: np.ndarray,
                       adapter: AdapterPair) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic loss gradients of the adapter factors given dL/dY."""
+    """Analytic loss gradients of the adapter factors given dL/dY.
+
+    Both contract with the rank first (batch x r intermediates), so the
+    m x n product X^T dY is never formed.
+    """
     m, n = adapter.shape
     if x.shape[1] != m or d_y.shape[1] != n or x.shape[0] != d_y.shape[0]:
         raise ShapeError(
             f"gradient shapes x={x.shape}, dY={d_y.shape} inconsistent with "
             f"adapter {adapter.shape}")
-    xt_dy = x.T @ d_y
-    d_a = adapter.scale * (xt_dy @ adapter.b.T)
-    d_b = adapter.scale * (adapter.a.T @ xt_dy)
+    d_a = adapter.scale * (x.T @ (d_y @ adapter.b.T))
+    d_b = adapter.scale * ((x @ adapter.a).T @ d_y)
     return d_a, d_b
 
 

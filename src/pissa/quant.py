@@ -135,19 +135,29 @@ def quantize(m: np.ndarray, cfg: QuantConfig | None = None) -> QuantizedMatrix:
     return QuantizedMatrix(m.shape[0], m.shape[1], bs, _pack(codes), scales, levels)
 
 
+def _entry_scales(q: QuantizedMatrix) -> np.ndarray:
+    """Each entry's block scale, flat, in one float per entry.
+
+    Only the last block can be ragged, so it is repeated just for the
+    entries it holds: no padding to whole blocks, however large the block
+    size (a PSQ4 header may claim one far larger than the matrix).
+    """
+    counts = np.full(q.scales.size, q.block_size)
+    if counts.size:
+        counts[-1] = q.rows * q.cols - q.block_size * (counts.size - 1)
+    return np.repeat(q.scales, counts)
+
+
 def dequantize(q: QuantizedMatrix) -> np.ndarray:
     """Map codes back through the codebook and per-block scales."""
-    total = q.rows * q.cols
     values = q.levels[q.unpacked_codes()]
-    block_scale = np.repeat(q.scales, q.block_size)[:total]
-    return (values * block_scale).reshape(q.rows, q.cols)
+    return (values * _entry_scales(q)).reshape(q.rows, q.cols)
 
 
 def quantization_error_bound(q: QuantizedMatrix) -> np.ndarray:
     """Per-entry worst-case rounding error: block scale times half the widest gap."""
-    total = q.rows * q.cols
     half_gap = np.max(np.diff(q.levels)) / 2.0
-    return (np.repeat(q.scales, q.block_size)[:total] * half_gap).reshape(q.rows, q.cols)
+    return (_entry_scales(q) * half_gap).reshape(q.rows, q.cols)
 
 
 def qlora_error(w: np.ndarray, cfg: QuantConfig | None = None) -> float:

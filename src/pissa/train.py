@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adapter import (DecomposedLayer, InitStrategy, adapter_gradients,
-                      lora_init, merge, variant_init)
+from .adapter import (DecomposedLayer, InitStrategy, _factored,
+                      adapter_gradients, dense_base, lora_init, variant_init)
 from .linalg import RandomSource, ShapeError, as_matrix
 from .quant import loftq_init, qlora_init, qpissa_init
 
@@ -85,9 +85,6 @@ class MlpModel:
     layer2: object  # np.ndarray (h x c) or DecomposedLayer
     bias2: np.ndarray
 
-    def layer_weight(self, layer) -> np.ndarray:
-        return merge(layer) if isinstance(layer, DecomposedLayer) else layer
-
     @property
     def has_adapters(self) -> bool:
         return isinstance(self.layer1, DecomposedLayer)
@@ -108,23 +105,50 @@ def cross_entropy_with_grad(logits: np.ndarray,
     return loss, probs / b
 
 
+def _layer_product(layer, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """x W, or x W^T, for a plain matrix W or an adapter layer.
+
+    An adapter layer's W = base + scale A B is never formed: the product is
+    taken in factored form, with rank-r intermediates.
+    """
+    if not isinstance(layer, DecomposedLayer):
+        return x @ (layer.T if transpose else layer)
+    base, p = dense_base(layer), layer.adapter
+    if transpose:
+        return _factored(x, base.T, p.b.T, p.a.T, p.scale)
+    return _factored(x, base, p.a, p.b, p.scale)
+
+
+def _dense_view(model: MlpModel) -> MlpModel:
+    """The model with each frozen base dequantized once, for a whole run.
+
+    The view shares the adapter and bias arrays, so in-place updates reach
+    the model, which keeps its quantized bases (and saves them as such).
+    """
+    if not model.has_adapters:
+        return model
+    return replace(model,
+                   layer1=replace(model.layer1, base=dense_base(model.layer1)),
+                   layer2=replace(model.layer2, base=dense_base(model.layer2)))
+
+
 def model_forward_backward(model: MlpModel, x: np.ndarray, labels: np.ndarray):
     """Loss plus gradients for every trainable parameter.
 
     With adapters injected only (A, B) of each layer and the biases receive
     gradients; the frozen bases are never touched. For a plain-matrix model
-    (pretraining) the full weight gradients are returned instead.
+    (pretraining) the full weight gradients are returned instead. A quantized
+    base is dequantized on every call; train_model and gradcheck pass a
+    view whose bases are already dense.
     """
     x = as_matrix(x)
-    w1 = model.layer_weight(model.layer1)
-    w2 = model.layer_weight(model.layer2)
-    pre = x @ w1 + model.bias1
+    pre = _layer_product(model.layer1, x) + model.bias1
     h = np.maximum(pre, 0.0)
-    logits = h @ w2 + model.bias2
+    logits = _layer_product(model.layer2, h) + model.bias2
     loss, d_logits = cross_entropy_with_grad(logits, labels)
 
     grads: dict[str, np.ndarray] = {"bias2": d_logits.sum(axis=0)}
-    d_h = d_logits @ w2.T
+    d_h = _layer_product(model.layer2, d_logits, transpose=True)
     d_pre = d_h * (pre > 0)
     grads["bias1"] = d_pre.sum(axis=0)
     if isinstance(model.layer2, DecomposedLayer):
@@ -242,6 +266,7 @@ def adapter_grad_norm(grads: dict) -> float:
 def train_model(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> TrainTrace:
     gen = RandomSource(cfg.seed).generator()
     params = _trainable_params(model)
+    view = _dense_view(model)
     state = AdamState()
     losses = np.empty(cfg.steps)
     norms = np.empty(cfg.steps)
@@ -253,7 +278,7 @@ def train_model(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> TrainTra
         else:
             idx = gen.integers(0, n, size=cfg.batch_size)
             xb, yb = dataset.features[idx], dataset.labels[idx]
-        loss, grads = model_forward_backward(model, xb, yb)
+        loss, grads = model_forward_backward(view, xb, yb)
         if not math.isfinite(loss):
             raise DivergenceError(step)
         lr_t = cosine_warmup_lr(step, cfg)
@@ -302,16 +327,17 @@ def gradcheck(model: MlpModel, x: np.ndarray, labels: np.ndarray,
     if not model.has_adapters:
         raise ValueError("gradcheck expects an adapter-injected model")
     x = as_matrix(x).copy()
+    view = _dense_view(model)
     for _ in range(8):
-        pre = x @ model.layer_weight(model.layer1) + model.bias1
+        pre = _layer_product(view.layer1, x) + view.bias1
         if np.min(np.abs(pre)) >= 1e-3:
             break
         x += 1e-3
 
     def loss_at() -> float:
-        return model_forward_backward(model, x, labels)[0]
+        return model_forward_backward(view, x, labels)[0]
 
-    _, grads = model_forward_backward(model, x, labels)
+    _, grads = model_forward_backward(view, x, labels)
     arrays = {
         "l1.a": model.layer1.adapter.a, "l1.b": model.layer1.adapter.b,
         "l2.a": model.layer2.adapter.a, "l2.b": model.layer2.adapter.b,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,32 @@ class TestQuantizeDequantize:
         m = np.array([[0.75, -0.75, 0.1, 0.2]])
         d = dequantize(quantize(m, cfg))
         assert d[0, 0] == 0.75 and d[0, 1] == -0.75
+
+    @pytest.mark.parametrize("shape,block", [((7, 9), 16), ((13, 3), 4),
+                                             ((4, 4), 16), ((1, 5), 64)])
+    def test_dequantize_uses_each_entrys_block_scale(self, shape, block):
+        q = quantize(RandomSource(4).normal(shape), QuantConfig(block_size=block))
+        scale = q.scales[np.arange(q.rows * q.cols) // block]
+        expected = q.levels[q.unpacked_codes()] * scale
+        assert np.array_equal(dequantize(q).ravel(), expected)
+        half_gap = np.max(np.diff(q.levels)) / 2.0
+        assert np.array_equal(quantization_error_bound(q).ravel(), scale * half_gap)
+
+    def test_block_larger_than_matrix_bounded_memory(self):
+        # One float of scale per entry, not one per padded block slot: a
+        # 4x4 matrix in one block of 10^6 must not cost megabytes.
+        q = quantize(RandomSource(5).normal((4, 4)), QuantConfig(block_size=10**6))
+        tracemalloc.start()
+        try:
+            values = dequantize(q)
+            bound = quantization_error_bound(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        scale = q.scales[0]
+        assert np.array_equal(values.ravel(), q.levels[q.unpacked_codes()] * scale)
+        assert (bound == scale * np.max(np.diff(q.levels)) / 2.0).all()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_per_entry_error_bound(self, seed):

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import pissa.quant
+from pissa.adapter import adapter_gradients, merge
 from pissa.linalg import RandomSource
+from pissa.quant import QuantizedMatrix
 from pissa.train import (AdamState, Dataset, DivergenceError, MlpModel,
                          TrainConfig, adamw_step, adapter_grad_norm,
                          cosine_warmup_lr, cross_entropy_with_grad, gradcheck,
@@ -85,6 +88,92 @@ class TestModelForwardBackward:
         x = RandomSource(5).normal((3, 6))
         labels = [0, 2, 1]
         assert gradcheck(model, x, labels, eps=1e-5) <= 1e-4
+
+
+def merged_adapter_gradients(x, d_y, adapter):
+    # The m x n product X^T dY first, then the contraction with the rank.
+    xt_dy = x.T @ d_y
+    return (adapter.scale * (xt_dy @ adapter.b.T),
+            adapter.scale * (adapter.a.T @ xt_dy))
+
+
+def merged_forward_backward(model, x, labels):
+    """Reference step on the merged weights W = base + scale A B."""
+    w1, w2 = merge(model.layer1), merge(model.layer2)
+    pre = x @ w1 + model.bias1
+    h = np.maximum(pre, 0.0)
+    loss, d_logits = cross_entropy_with_grad(h @ w2 + model.bias2, labels)
+    d_pre = (d_logits @ w2.T) * (pre > 0)
+    grads = {"bias2": d_logits.sum(axis=0), "bias1": d_pre.sum(axis=0)}
+    grads["l2.a"], grads["l2.b"] = merged_adapter_gradients(
+        h, d_logits, model.layer2.adapter)
+    grads["l1.a"], grads["l1.b"] = merged_adapter_gradients(
+        x, d_pre, model.layer1.adapter)
+    return loss, grads, (x, d_pre, h, d_logits)
+
+
+def factored_cases():
+    data = toy_dataset(1, n=16)
+    for strategy in ("pissa", "lora", "qpissa"):
+        yield strategy, inject_adapters(toy_model(1), 2, strategy,
+                                        RandomSource(2)), data
+    scaled = inject_adapters(toy_model(1), 2, "pissa", RandomSource(2))
+    scaled.layer1.adapter.scale = scaled.layer2.adapter.scale = 2.5
+    yield "scale 2.5", scaled, data
+    # Rank 8 against a 10-column second layer.
+    wide = inject_adapters(toy_model(1, d=12, h=9, c=10), 8, "pissa",
+                           RandomSource(2))
+    yield "rank 8", wide, toy_dataset(1, n=16, d=12, c=10)
+
+
+def assert_close(a, b, rel=1e-12):
+    assert np.linalg.norm(a - b) <= rel * np.linalg.norm(b)
+
+
+class TestFactoredStep:
+    @pytest.mark.parametrize("case", list(factored_cases()), ids=lambda c: c[0])
+    def test_matches_merged_weights(self, case):
+        _, model, data = case
+        loss, grads = model_forward_backward(model, data.features, data.labels)
+        ref_loss, ref_grads, _ = merged_forward_backward(model, data.features,
+                                                         data.labels)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert set(grads) == set(ref_grads)
+        for key in ref_grads:
+            assert_close(grads[key], ref_grads[key])
+
+    @pytest.mark.parametrize("case", list(factored_cases()), ids=lambda c: c[0])
+    def test_rank_first_adapter_gradients(self, case):
+        _, model, data = case
+        x, d_pre, h, d_logits = merged_forward_backward(model, data.features,
+                                                        data.labels)[2]
+        for inp, d_y, layer in ((x, d_pre, model.layer1),
+                                (h, d_logits, model.layer2)):
+            d_a, d_b = adapter_gradients(inp, d_y, layer.adapter)
+            ref_a, ref_b = merged_adapter_gradients(inp, d_y, layer.adapter)
+            assert_close(d_a, ref_a)
+            assert_close(d_b, ref_b)
+
+    def test_quantized_base_dequantized_once_per_run(self, monkeypatch):
+        model, data = toy_model(2), toy_dataset(2, n=40)
+        cfg = TrainConfig(lr=1e-2, batch_size=16, steps=5, seed=3)
+        calls = []
+        original = pissa.quant.dequantize
+
+        def spy(q):
+            calls.append(q)
+            return original(q)
+
+        monkeypatch.setattr(pissa.quant, "dequantize", spy)
+        _, tuned = run_finetune(model, data, cfg, "qpissa", rank=2)
+        assert len(calls) == 2
+        fresh = inject_adapters(model, 2, "qpissa", RandomSource(cfg.seed))
+        for layer, init in ((tuned.layer1, fresh.layer1),
+                            (tuned.layer2, fresh.layer2)):
+            assert isinstance(layer.base, QuantizedMatrix)
+            assert np.array_equal(layer.base.codes, init.base.codes)
+            assert np.array_equal(layer.base.scales, init.base.scales)
+            assert not np.array_equal(layer.adapter.b, init.adapter.b)
 
 
 class TestAdamW:
@@ -219,6 +308,16 @@ class TestTraining:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
                 run_finetune(model, data, cfg, "pissa", rank=2)
+        assert err.value.step >= 0
+
+    def test_divergence_reported_with_step_quantized_base(self):
+        # A non-finite activation must reach the loss check, not an input
+        # check on the way.
+        model, data = self.finetune_setup()
+        cfg = TrainConfig(lr=1e200, batch_size=16, steps=50, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                run_finetune(model, data, cfg, "qpissa", rank=2)
         assert err.value.step >= 0
 
     def test_pretrain_reduces_loss(self):
