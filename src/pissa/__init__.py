@@ -5,13 +5,12 @@ and algebra, 4-bit NormalFloat quantization with quantized initializers,
 a toy fine-tuning harness, and an experiment CLI.
 """
 
-from .adapter import (AdapterPair, DecomposedLayer, InitStrategy,
+from .adapter import (WINDOWS, AdapterPair, DecomposedLayer,
                       adapter_gradients, forward, lora_init, merge,
                       pissa_init, reconstruction_error, to_lora_delta,
                       variant_init)
 from .linalg import (RandomSource, ShapeError, SvdFactors, exact_svd,
-                     frobenius_norm, matmul, nuclear_norm, qr_thin,
-                     randomized_svd)
+                     frobenius_norm, nuclear_norm, qr_thin, randomized_svd)
 from .quant import (Nf4Codebook, QuantConfig, QuantizedMatrix, QuantReport,
                     build_nf4_codebook, dequantize, distribution_diagnostics,
                     error_reduction_ratio, loftq_init, qlora_error,

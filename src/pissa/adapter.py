@@ -1,9 +1,9 @@
 """Low-rank adapter construction and algebra.
 
 A DecomposedLayer pairs a frozen base matrix (full precision or quantized)
-with a trainable rank-r adapter (A, B). Initializers cover the principal
-singular-component split, the Gaussian/zero baseline, and window variants
-built from medium or minor singular components. The forward pass, analytic
+with a trainable rank-r adapter (A, B). Initializers cover the Gaussian/zero
+baseline and the SVD split of any window of singular components named in
+WINDOWS: principal (PiSSA), medium or minor. The forward pass, analytic
 gradients, merging, and the lossless conversion of a trained adapter into a
 delta on the original weights live here too.
 """
@@ -11,19 +11,11 @@ delta on the original weights live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .linalg import (RandomSource, ShapeError, SvdFactors, as_matrix, exact_svd,
                      frobenius_norm)
-
-
-class InitStrategy(Enum):
-    PRINCIPAL = "principal"
-    MEDIUM = "medium"
-    MINOR = "minor"
-    GAUSSIAN_ZERO = "gaussian_zero"
 
 
 @dataclass
@@ -98,15 +90,6 @@ def _split(f: SvdFactors, lo: int, hi: int) -> AdapterPair:
     return AdapterPair(a, b, hi - lo)
 
 
-def _svd_layer(w: np.ndarray, lo: int, hi: int, origin: str) -> DecomposedLayer:
-    # Adapter from components [lo, hi) of w, base from all the others.
-    f = exact_svd(w)
-    cut = np.s_[lo:hi]
-    base = ((np.delete(f.u, cut, axis=1) * np.delete(f.s, cut))
-            @ np.delete(f.v.T, cut, axis=0))
-    return DecomposedLayer(base=base, adapter=_split(f, lo, hi), origin=origin)
-
-
 def _gaussian_zero(shape: tuple[int, int], r: int, rng: RandomSource) -> AdapterPair:
     a = rng.normal((shape[0], r)) * np.sqrt(1.0 / r)
     return AdapterPair(a, np.zeros((r, shape[1]), dtype=np.float64), r)
@@ -115,12 +98,10 @@ def _gaussian_zero(shape: tuple[int, int], r: int, rng: RandomSource) -> Adapter
 def pissa_init(w: np.ndarray, r: int) -> DecomposedLayer:
     """Split w into a rank-r principal adapter and a frozen residual base.
 
-    A and B carry the square-root-weighted top singular vectors, so
-    base + A B reproduces w exactly (up to floating point).
+    A and B carry the square-root-weighted top singular vectors and the
+    base is w - A B, so base + A B reproduces w up to floating point.
     """
-    w = as_matrix(w)
-    _check_rank(w, r)
-    return _svd_layer(w, 0, r, "pissa")
+    return variant_init(w, r, "pissa")
 
 
 def lora_init(w: np.ndarray, r: int, rng: RandomSource) -> DecomposedLayer:
@@ -135,28 +116,31 @@ def lora_init(w: np.ndarray, r: int, rng: RandomSource) -> DecomposedLayer:
                            origin="lora")
 
 
-def _window(strategy: InitStrategy, k: int, r: int) -> tuple[int, int]:
-    if strategy is InitStrategy.PRINCIPAL:
-        return 0, r
-    if strategy is InitStrategy.MEDIUM:
-        start = (k - r) // 2
-        return start, start + r
-    if strategy is InitStrategy.MINOR:
-        return k - r, k
-    raise ValueError(f"no singular window for strategy {strategy}")
+# Window name -> (k, r) -> [lo, hi): the singular components, of k =
+# min(m, n), that an SVD initializer puts into a rank-r adapter. pissa and
+# principal are the same window; ablation reports name it principal.
+WINDOWS = {
+    "pissa": lambda k, r: (0, r),
+    "principal": lambda k, r: (0, r),
+    "medium": lambda k, r: ((k - r) // 2, (k - r) // 2 + r),
+    "minor": lambda k, r: (k - r, k),
+}
 
 
-def variant_init(w: np.ndarray, r: int, strategy: InitStrategy) -> DecomposedLayer:
-    """Adapter built from a chosen window of singular components.
+def variant_init(w: np.ndarray, r: int, window: str) -> DecomposedLayer:
+    """Adapter built from a named window of singular components.
 
-    principal takes the top r indices, medium a centered window, minor the
-    bottom r; the base holds the complementary components, so the sum always
-    reconstructs w.
+    principal (or pissa) takes the top r indices, medium a centered window,
+    minor the bottom r. The base is the residual w - A B, which holds the
+    other components, so the sum always reconstructs w.
     """
     w = as_matrix(w)
     _check_rank(w, r)
-    lo, hi = _window(strategy, min(w.shape), r)  # in range, as 1 <= r <= k
-    return _svd_layer(w, lo, hi, strategy.value)
+    if window not in WINDOWS:
+        raise ValueError(f"unknown singular window: {window}")
+    lo, hi = WINDOWS[window](min(w.shape), r)
+    pair = _split(exact_svd(w), lo, hi)
+    return DecomposedLayer(base=w - pair.a @ pair.b, adapter=pair, origin=window)
 
 
 def _factored(x: np.ndarray, base: np.ndarray, a: np.ndarray, b: np.ndarray,

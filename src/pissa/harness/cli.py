@@ -6,9 +6,8 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from ..adapter import forward, pissa_init, reconstruction_error, to_lora_delta
+from ..adapter import (forward, merge, pissa_init, reconstruction_error,
+                       to_lora_delta)
 from ..linalg import RandomSource, frobenius_norm
 from .experiments import ExperimentSpec, run_experiment
 from .matrix_io import load_adapter_dir, load_matrix, save_adapter_dir, save_matrix
@@ -56,11 +55,7 @@ def _spec_from_args(kind: str, args) -> ExperimentSpec:
 def _cmd_decompose(args) -> int:
     w = load_matrix(args.infile)
     layer = pissa_init(w, args.rank)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_matrix(out / "A.pssa", layer.adapter.a)
-    save_matrix(out / "B.pssa", layer.adapter.b)
-    save_matrix(out / "Wres.pssa", layer.base)
+    save_adapter_dir(args.out, layer)
     err = reconstruction_error(w, layer)
     print(f"decompose rank={args.rank} reconstruction_error={err:.3e}")
     return 0 if err <= 1e-10 else 1
@@ -78,9 +73,7 @@ def _cmd_convert_lora(args) -> int:
     # original + deltaA deltaB.
     m = init.shape[0]
     probe = RandomSource(0).normal((4, m))
-    from ..adapter import dense_base, merge
-    w_original = dense_base(init) + init.adapter.delta()
-    lhs = probe @ (w_original + trained.adapter.scale * (delta_a @ delta_b))
+    lhs = probe @ (merge(init) + trained.adapter.scale * (delta_a @ delta_b))
     rhs = forward(trained, probe)
     err = frobenius_norm(lhs - rhs) / max(1.0, frobenius_norm(rhs))
     print(f"convert-lora delta_rank={2 * init.adapter.rank} probe_error={err:.3e}")

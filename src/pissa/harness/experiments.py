@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -108,6 +109,15 @@ def _base_row(spec: ExperimentSpec, seed: int) -> dict:
             "config_hash": spec.config_hash()}
 
 
+@contextmanager
+def _recording_failure(row: dict):
+    """Store an exception raised in the block in the row, and keep going."""
+    try:
+        yield
+    except Exception as exc:
+        row["error"] = f"{type(exc).__name__}: {exc}"
+
+
 def matrix_seed(spec: ExperimentSpec, seed: int, index: int = 0) -> int:
     # Documented splitter: experiment seed xor-mixed with the config index.
     return RandomSource(seed).spawn(index).seed
@@ -142,13 +152,11 @@ def _rows_quant_bench(spec: ExperimentSpec) -> list[dict]:
             row = _base_row(spec, seed) | {
                 "method": method, "rank": rank, "T": t,
                 "block_size": spec.block_size}
-            try:
+            with _recording_failure(row):
                 rep = quant_report(w, layer, cfg)
                 row |= {"nuclear_err": rep.nuclear_error,
                         "frob_err": rep.frobenius_error,
                         "ratio_percent": rep.reduction_ratio_percent}
-            except Exception as exc:  # record the failure, keep going
-                row["error"] = str(exc)
             rows.append(row)
     return rows
 
@@ -164,7 +172,7 @@ def _rows_fastsvd(spec: ExperimentSpec) -> list[dict]:
             exact_err = frobenius_norm(w - trunc.reconstruct())
             for niter in spec.niters:
                 row = _base_row(spec, seed) | {"rank": rank, "niter": niter}
-                try:
+                with _recording_failure(row):
                     fast = randomized_svd(w, rank, niter,
                                           RandomSource(seed).spawn(niter))
                     recon = fast.reconstruct()
@@ -176,8 +184,6 @@ def _rows_fastsvd(spec: ExperimentSpec) -> list[dict]:
                         "sv_rel_err": float(np.max(
                             np.abs(fast.s - trunc.s) / trunc.s)),
                     }
-                except Exception as exc:
-                    row["error"] = str(exc)
                 rows.append(row)
     return rows
 
@@ -206,7 +212,7 @@ def _rows_converge(spec: ExperimentSpec) -> list[dict]:
         model, fine = toy_pretrained(spec, seed)
         for strategy in spec.strategies:
             row = _base_row(spec, seed) | {"strategy": strategy}
-            try:
+            with _recording_failure(row):
                 trace, _ = run_finetune(model, fine, _finetune_cfg(spec, seed),
                                         strategy, rank=spec.adapter_rank)
                 row |= {"final_loss": float(trace.losses[-1]),
@@ -214,8 +220,6 @@ def _rows_converge(spec: ExperimentSpec) -> list[dict]:
                 trace_path = out_dir / f"trace_{strategy}_seed{seed}.csv"
                 _write_trace(trace_path, trace)
                 row["trace_file"] = str(trace_path)
-            except Exception as exc:
-                row["error"] = str(exc)
             rows.append(row)
     return rows
 
@@ -236,12 +240,10 @@ def _rows_ablation(spec: ExperimentSpec) -> list[dict]:
         model, fine = toy_pretrained(spec, seed)
         for strategy in strategies:
             row = _base_row(spec, seed) | {"strategy": strategy}
-            try:
+            with _recording_failure(row):
                 trace, _ = run_finetune(model, fine, _finetune_cfg(spec, seed),
                                         strategy, rank=spec.adapter_rank)
                 row["final_loss"] = float(trace.losses[-1])
-            except Exception as exc:
-                row["error"] = str(exc)
             rows.append(row)
     return rows
 
@@ -249,21 +251,20 @@ def _rows_ablation(spec: ExperimentSpec) -> list[dict]:
 def _rows_gradcheck(spec: ExperimentSpec) -> list[dict]:
     rows = []
     for seed in spec.seeds:
-        row = _base_row(spec, seed)
-        try:
-            rng = RandomSource(matrix_seed(spec, seed))
-            d, h, c, r = 6, 5, 4, 2
-            model = MlpModel(rng.spawn(0).normal((d, h)),
-                             rng.spawn(1).normal(h) * 0.1,
-                             rng.spawn(2).normal((h, c)),
-                             rng.spawn(3).normal(c) * 0.1)
-            model = inject_adapters(model, r, "pissa", rng.spawn(4))
-            x = rng.spawn(5).normal((3, d))
-            labels = rng.spawn(6).generator().integers(0, c, size=3)
-            row["max_rel_err"] = gradcheck(model, x, labels)
-        except Exception as exc:
-            row["error"] = str(exc)
-        rows.append(row)
+        rng = RandomSource(matrix_seed(spec, seed))
+        d, h, c, r = 6, 5, 4, 2
+        model = MlpModel(rng.spawn(0).normal((d, h)),
+                         rng.spawn(1).normal(h) * 0.1,
+                         rng.spawn(2).normal((h, c)),
+                         rng.spawn(3).normal(c) * 0.1)
+        x = rng.spawn(5).normal((3, d))
+        labels = rng.spawn(6).generator().integers(0, c, size=3)
+        for strategy in spec.strategies:
+            row = _base_row(spec, seed) | {"strategy": strategy}
+            with _recording_failure(row):
+                tuned = inject_adapters(model, r, strategy, rng.spawn(4))
+                row["max_rel_err"] = gradcheck(tuned, x, labels)
+            rows.append(row)
     return rows
 
 

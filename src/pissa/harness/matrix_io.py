@@ -88,8 +88,9 @@ def load_quantized(path) -> QuantizedMatrix:
             f"{path}: expected {expected} bytes, got {len(data)}")
     scales = np.frombuffer(data[20:20 + nblocks * 8], dtype="<f8").copy()
     codes = np.frombuffer(data[20 + nblocks * 8:], dtype=np.uint8).copy()
-    if (scales < 0).any():
-        raise FileFormatError(f"{path}: negative block scale")
+    # A NaN or infinite scale would dequantize to non-finite entries silently.
+    if not (np.isfinite(scales) & (scales >= 0)).all():
+        raise FileFormatError(f"{path}: negative or non-finite block scale")
     levels = build_nf4_codebook().as_array()
     return QuantizedMatrix(rows, cols, block_size, codes, scales, levels)
 
@@ -122,11 +123,17 @@ def save_adapter_dir(dirpath, layer: DecomposedLayer, seed: int | None = None,
 
 def load_adapter_dir(dirpath) -> DecomposedLayer:
     dirpath = Path(dirpath)
-    meta = json.loads((dirpath / "meta.json").read_text())
+    meta_path = dirpath / "meta.json"
+    try:
+        meta = json.loads(meta_path.read_text())
+        rank, scale, origin = int(meta["rank"]), float(meta["scale"]), meta["origin"]
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad JSON
+        raise FileFormatError(
+            f"{meta_path}: malformed adapter metadata: {type(exc).__name__}: {exc}"
+        ) from exc
     a = load_matrix(dirpath / "A.pssa")
     b = load_matrix(dirpath / "B.pssa")
-    pair = AdapterPair(a=a, b=b, rank=int(meta["rank"]),
-                       scale=float(meta["scale"]))
+    pair = AdapterPair(a=a, b=b, rank=rank, scale=scale)
     base_file = meta.get("base_file")
     if base_file is None:
         raise FileFormatError(f"{dirpath}: checkpoint has no stored base")
@@ -134,4 +141,4 @@ def load_adapter_dir(dirpath) -> DecomposedLayer:
         base = load_quantized(dirpath / base_file)
     else:
         base = load_matrix(dirpath / base_file)
-    return DecomposedLayer(base=base, adapter=pair, origin=meta["origin"])
+    return DecomposedLayer(base=base, adapter=pair, origin=origin)

@@ -1,4 +1,4 @@
-"""Dense matrix kernels: products, norms, thin QR, exact and randomized SVD.
+"""Dense matrix kernels: norms, thin QR, exact and randomized SVD.
 
 All routines operate on 2-D float64 numpy arrays ("matrices") and are pure
 functions of their inputs. The exact SVD is the accuracy reference for the
@@ -82,13 +82,6 @@ class SvdFactors:
 
     def truncate(self, r: int) -> "SvdFactors":
         return SvdFactors(self.u[:, :r].copy(), self.s[:r].copy(), self.v[:, :r].copy())
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Standard matrix product with an explicit shape check."""
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
 
 
 def frobenius_norm(m: np.ndarray) -> float:

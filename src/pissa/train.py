@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adapter import (DecomposedLayer, InitStrategy, _factored,
-                      adapter_gradients, dense_base, lora_init, variant_init)
+from .adapter import (WINDOWS, DecomposedLayer, _factored, adapter_gradients,
+                      dense_base, lora_init, variant_init)
 from .linalg import RandomSource, ShapeError, as_matrix
 from .quant import loftq_init, qlora_init, qpissa_init
 
@@ -208,26 +208,18 @@ def cosine_warmup_lr(step: int, cfg: TrainConfig) -> float:
     return cfg.lr * 0.5 * (1.0 + math.cos(math.pi * (step - warmup) / span))
 
 
-# Strategy name -> initializer(w, rank, rng, quant_cfg, iters). The lambdas
-# look the initializers up at call time, so patched module attributes apply.
+# Strategy name -> initializer(w, rank, rng, quant_cfg, iters): one per
+# singular window, then the Gaussian/zero and quantized initializers. The
+# lambdas look the initializers up at call time, so patched module
+# attributes apply.
 STRATEGIES = {
-    "pissa": lambda w, r, rng, cfg, t: variant_init(w, r, InitStrategy.PRINCIPAL),
-    "principal": lambda w, r, rng, cfg, t: variant_init(w, r, InitStrategy.PRINCIPAL),
-    "medium": lambda w, r, rng, cfg, t: variant_init(w, r, InitStrategy.MEDIUM),
-    "minor": lambda w, r, rng, cfg, t: variant_init(w, r, InitStrategy.MINOR),
+    **{name: lambda w, r, rng, cfg, t, name=name: variant_init(w, r, name)
+       for name in WINDOWS},
     "lora": lambda w, r, rng, cfg, t: lora_init(w, r, rng),
-    "gaussian_zero": lambda w, r, rng, cfg, t: lora_init(w, r, rng),
     "qpissa": lambda w, r, rng, cfg, t: qpissa_init(w, r, T=t, cfg=cfg),
     "loftq": lambda w, r, rng, cfg, t: loftq_init(w, r, T=t, cfg=cfg),
     "qlora": lambda w, r, rng, cfg, t: qlora_init(w, r, rng, cfg=cfg),
 }
-
-
-def _init_layer(w: np.ndarray, rank: int, strategy: str, rng: RandomSource,
-                quant_cfg=None, iters: int = 1) -> DecomposedLayer:
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown init strategy: {strategy}")
-    return STRATEGIES[strategy](w, rank, rng, quant_cfg, iters)
 
 
 def inject_adapters(model: MlpModel, rank: int, strategy: str,
@@ -236,8 +228,11 @@ def inject_adapters(model: MlpModel, rank: int, strategy: str,
     """Replace both plain weight matrices with frozen-base adapter layers."""
     if model.has_adapters:
         raise ValueError("model already has adapters injected")
-    l1 = _init_layer(model.layer1, rank, strategy, rng.spawn(1), quant_cfg, iters)
-    l2 = _init_layer(model.layer2, rank, strategy, rng.spawn(2), quant_cfg, iters)
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown init strategy: {strategy}")
+    init = STRATEGIES[strategy]
+    l1 = init(model.layer1, rank, rng.spawn(1), quant_cfg, iters)
+    l2 = init(model.layer2, rank, rng.spawn(2), quant_cfg, iters)
     return MlpModel(l1, model.bias1.copy(), l2, model.bias2.copy())
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from pissa.adapter import (AdapterPair, InitStrategy, adapter_gradients,
-                           forward, lora_init, merge, pissa_init,
-                           reconstruction_error, to_lora_delta, variant_init)
+from pissa.adapter import (WINDOWS, AdapterPair, adapter_gradients, forward,
+                           lora_init, merge, pissa_init, reconstruction_error,
+                           to_lora_delta, variant_init)
 from pissa.linalg import RandomSource, ShapeError, exact_svd, frobenius_norm
 
 
@@ -76,14 +76,13 @@ class TestLoraInit:
 class TestVariantInit:
     def test_principal_matches_pissa(self):
         w = RandomSource(0).normal((12, 10))
-        a = variant_init(w, 4, InitStrategy.PRINCIPAL)
+        a = variant_init(w, 4, "principal")
         b = pissa_init(w, 4)
         np.testing.assert_allclose(a.adapter.a, b.adapter.a, atol=1e-12)
         np.testing.assert_allclose(a.base, b.base, atol=1e-12)
 
     def test_minor_diagonal(self):
-        layer = variant_init(np.diag([4.0, 3.0, 2.0, 1.0]), 1,
-                             InitStrategy.MINOR)
+        layer = variant_init(np.diag([4.0, 3.0, 2.0, 1.0]), 1, "minor")
         np.testing.assert_allclose(layer.adapter.delta(),
                                    np.diag([0.0, 0.0, 0.0, 1.0]), atol=1e-12)
         np.testing.assert_allclose(layer.base, np.diag([4.0, 3.0, 2.0, 0.0]),
@@ -91,18 +90,31 @@ class TestVariantInit:
 
     def test_medium_window_diagonal(self):
         # k=4, r=2: centered window starts at (4-2)//2 = 1, indices {1, 2}.
-        layer = variant_init(np.diag([4.0, 3.0, 2.0, 1.0]), 2,
-                             InitStrategy.MEDIUM)
+        layer = variant_init(np.diag([4.0, 3.0, 2.0, 1.0]), 2, "medium")
         np.testing.assert_allclose(layer.adapter.delta(),
                                    np.diag([0.0, 3.0, 2.0, 0.0]), atol=1e-12)
 
-    @pytest.mark.parametrize("strategy", [InitStrategy.PRINCIPAL,
-                                          InitStrategy.MEDIUM,
-                                          InitStrategy.MINOR])
-    def test_reconstruction(self, strategy):
+    @pytest.mark.parametrize("window", ["principal", "medium", "minor"])
+    def test_reconstruction(self, window):
         w = RandomSource(3).normal((18, 14))
-        layer = variant_init(w, 5, strategy)
+        layer = variant_init(w, 5, window)
         assert rel_err(merge(layer), w) <= 1e-10
+
+    @pytest.mark.parametrize("window", sorted(WINDOWS))
+    def test_base_holds_the_other_components(self, window):
+        # The base is w - A B; its spectrum must be w's with the window cut out.
+        w = RandomSource(4).normal((18, 14))
+        layer = variant_init(w, 5, window)
+        lo, hi = WINDOWS[window](14, 5)
+        s = exact_svd(w).s
+        expected = np.sort(np.concatenate([s[:lo], s[hi:], np.zeros(5)]))[::-1]
+        got = np.linalg.svd(layer.base, compute_uv=False)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+        assert layer.origin == window
+
+    def test_unknown_window_rejected(self):
+        with pytest.raises(ValueError, match="unknown singular window: bogus"):
+            variant_init(np.eye(4), 2, "bogus")
 
 
 class TestForward:
@@ -254,12 +266,8 @@ def test_every_full_precision_init_reconstructs(seed):
     n = int(gen.integers(4, 40))
     r = int(gen.integers(1, min(m, n) + 1))
     w = gen.standard_normal((m, n))
-    layers = [pissa_init(w, r)]
-    for strategy in InitStrategy:
-        if strategy is InitStrategy.GAUSSIAN_ZERO:
-            layers.append(lora_init(w, r, RandomSource(seed)))
-        else:
-            layers.append(variant_init(w, r, strategy))
+    layers = [pissa_init(w, r), lora_init(w, r, RandomSource(seed))]
+    layers += [variant_init(w, r, window) for window in WINDOWS]
     for layer in layers:
         assert reconstruction_error(w, layer) <= 1e-10
         # The layout of a reloaded checkpoint, so both train identically.

@@ -5,12 +5,10 @@ import struct
 import numpy as np
 import pytest
 
-from pissa.adapter import lora_init, pissa_init
+from pissa.adapter import lora_init, merge, pissa_init
 from pissa.harness.cli import main
-from pissa.harness.data import (DATA_VERSION, IdxFormatError,
-                                generate_cluster_dataset,
-                                generate_spectral_matrix, load_idx,
-                                load_idx_images, load_idx_labels)
+from pissa.harness.data import (DATA_VERSION, generate_cluster_dataset,
+                                generate_spectral_matrix)
 from pissa.harness.experiments import (ExperimentSpec, matrix_seed,
                                        run_experiment)
 from pissa.harness.matrix_io import (FileFormatError, load_adapter_dir,
@@ -76,53 +74,6 @@ class TestClusterDataset:
             generate_cluster_dataset(9, 8, 10, 1.0, 0)
 
 
-def idx_image_bytes(images):
-    images = np.asarray(images, dtype=np.uint8)
-    n, rows, cols = images.shape
-    return struct.pack(">IIII", 0x803, n, rows, cols) + images.tobytes()
-
-
-def idx_label_bytes(labels):
-    labels = np.asarray(labels, dtype=np.uint8)
-    return struct.pack(">II", 0x801, len(labels)) + labels.tobytes()
-
-
-class TestIdxLoading:
-    def test_hand_crafted_pair(self, tmp_path):
-        images = [[[0, 255], [51, 102]], [[255, 0], [0, 255]]]
-        (tmp_path / "img").write_bytes(idx_image_bytes(images))
-        (tmp_path / "lbl").write_bytes(idx_label_bytes([3, 9]))
-        data = load_idx(tmp_path / "img", tmp_path / "lbl")
-        assert data.features.shape == (2, 4)
-        np.testing.assert_allclose(
-            data.features[0], [0.0, 1.0, 51 / 255, 102 / 255])
-        assert list(data.labels) == [3, 9]
-
-    def test_wrong_magic(self, tmp_path):
-        payload = struct.pack(">IIII", 0x801, 1, 2, 2) + bytes(4)
-        (tmp_path / "img").write_bytes(payload)
-        with pytest.raises(IdxFormatError, match="magic"):
-            load_idx_images(tmp_path / "img")
-
-    def test_truncated_payload(self, tmp_path):
-        payload = idx_image_bytes(np.zeros((2, 2, 2), dtype=np.uint8))[:-3]
-        (tmp_path / "img").write_bytes(payload)
-        with pytest.raises(IdxFormatError, match="truncated"):
-            load_idx_images(tmp_path / "img")
-
-    def test_count_mismatch(self, tmp_path):
-        (tmp_path / "img").write_bytes(
-            idx_image_bytes(np.zeros((2, 2, 2), dtype=np.uint8)))
-        (tmp_path / "lbl").write_bytes(idx_label_bytes([1, 2, 3]))
-        with pytest.raises(IdxFormatError, match="count"):
-            load_idx(tmp_path / "img", tmp_path / "lbl")
-
-    def test_label_magic(self, tmp_path):
-        (tmp_path / "lbl").write_bytes(struct.pack(">II", 0x803, 0))
-        with pytest.raises(IdxFormatError):
-            load_idx_labels(tmp_path / "lbl")
-
-
 class TestMatrixFiles:
     def test_roundtrip_bit_exact(self, tmp_path):
         m = RandomSource(0).normal((13, 7))
@@ -170,6 +121,14 @@ class TestMatrixFiles:
         with pytest.raises(FileFormatError):
             load_quantized(tmp_path / "m.psq4")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_quantized_non_finite_scale_rejected(self, tmp_path, bad):
+        q = quantize(RandomSource(1).normal((8, 8)), QuantConfig(block_size=64))
+        q.scales[0] = bad
+        save_quantized(tmp_path / "m.psq4", q)
+        with pytest.raises(FileFormatError, match="non-finite block scale"):
+            load_quantized(tmp_path / "m.psq4")
+
 
 class TestAdapterCheckpoints:
     def test_dense_roundtrip(self, tmp_path):
@@ -199,6 +158,22 @@ class TestAdapterCheckpoints:
                          include_base=False)
         with pytest.raises(FileFormatError):
             load_adapter_dir(tmp_path / "nb")
+
+    def test_malformed_meta_json_rejected(self, tmp_path):
+        save_adapter_dir(tmp_path / "c", pissa_init(np.eye(4), 2))
+        (tmp_path / "c" / "meta.json").write_text('{"rank": 2,')
+        with pytest.raises(FileFormatError, match="meta.json"):
+            load_adapter_dir(tmp_path / "c")
+
+    @pytest.mark.parametrize("key", ["rank", "scale", "origin"])
+    def test_meta_missing_key_rejected(self, tmp_path, key):
+        save_adapter_dir(tmp_path / "c", pissa_init(np.eye(4), 2))
+        meta_path = tmp_path / "c" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta[key]
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(FileFormatError, match=f"meta.json.*{key}"):
+            load_adapter_dir(tmp_path / "c")
 
     @pytest.mark.parametrize("strategy", ["pissa", "medium", "qpissa", "loftq",
                                           "lora", "qlora"])
@@ -310,8 +285,24 @@ class TestExperiments:
                    for row in rows)
 
     def test_gradcheck_rows(self, tmp_path):
-        rows = run_experiment(tiny_spec("gradcheck", tmp_path))
+        strategies = ("pissa", "qpissa", "lora")
+        rows = run_experiment(tiny_spec("gradcheck", tmp_path,
+                                        strategies=strategies))
+        assert [(row["seed"], row["strategy"]) for row in rows] == [
+            (seed, s) for seed in (0, 1) for s in strategies]
         assert all(row["max_rel_err"] <= 1e-4 for row in rows)
+
+    def test_failed_row_records_exception_type(self, tmp_path, monkeypatch):
+        import pissa.harness.experiments as experiments
+        from pissa.train import DivergenceError
+
+        def diverge(*args, **kwargs):
+            raise DivergenceError(3)
+
+        monkeypatch.setattr(experiments, "run_finetune", diverge)
+        rows = run_experiment(tiny_spec("ablation", tmp_path, seeds=(0,)))
+        assert [row["error"] for row in rows] == [
+            "DivergenceError: loss diverged at step 3"] * 3
 
     def test_converge_rows_and_traces(self, tmp_path):
         spec = tiny_spec("converge", tmp_path, seeds=(0,))
@@ -348,9 +339,28 @@ class TestCli:
         assert code == 0
         a = load_matrix(tmp_path / "out" / "A.pssa")
         b = load_matrix(tmp_path / "out" / "B.pssa")
-        res = load_matrix(tmp_path / "out" / "Wres.pssa")
+        res = load_matrix(tmp_path / "out" / "base.pssa")
         np.testing.assert_allclose(res + a @ b, w, atol=1e-10)
+        assert load_adapter_dir(tmp_path / "out").origin == "pissa"
         assert "reconstruction_error" in capsys.readouterr().out
+
+    def test_decompose_output_feeds_convert_lora(self, tmp_path, capsys):
+        w = generate_spectral_matrix(20, 16, 1.0, 1)
+        save_matrix(tmp_path / "w.pssa", w)
+        assert main(["decompose", "--in", str(tmp_path / "w.pssa"),
+                     "--rank", "3", "--out", str(tmp_path / "init")]) == 0
+        trained = load_adapter_dir(tmp_path / "init")
+        trained.adapter.a += 0.1 * RandomSource(1).normal((20, 3))
+        trained.adapter.b += 0.1 * RandomSource(2).normal((3, 16))
+        save_adapter_dir(tmp_path / "trained", trained)
+        code = main(["convert-lora", "--init", str(tmp_path / "init"),
+                     "--trained", str(tmp_path / "trained"),
+                     "--out", str(tmp_path / "delta")])
+        assert code == 0
+        da = load_matrix(tmp_path / "delta" / "deltaA.pssa")
+        db = load_matrix(tmp_path / "delta" / "deltaB.pssa")
+        np.testing.assert_allclose(w + da @ db, merge(trained), atol=1e-10)
+        assert "probe_error" in capsys.readouterr().out
 
     def test_convert_lora_end_to_end(self, tmp_path, capsys):
         w = RandomSource(0).normal((14, 10))
@@ -384,7 +394,8 @@ class TestCli:
         code = main(["gradcheck", "--seeds", "0..2", "--out", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
-        assert len(lines) == 2 + 3  # header comment, column row, 3 seeds
+        # Header comment, column row, 3 seeds x the 2 default strategies.
+        assert len(lines) == 2 + 3 * 2
 
     def test_missing_input_reports_error(self, tmp_path, capsys):
         code = main(["decompose", "--in", str(tmp_path / "none.pssa"),

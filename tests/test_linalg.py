@@ -3,39 +3,8 @@ import pytest
 
 from pissa.harness.data import generate_spectral_matrix
 from pissa.linalg import (NumericalError, RandomSource, ShapeError, as_matrix,
-                          exact_svd, frobenius_norm, matmul, nuclear_norm,
-                          qr_thin, randomized_svd)
-
-
-def naive_matmul(a, b):
-    m, k = a.shape
-    _, n = b.shape
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            for t in range(k):
-                out[i, j] += a[i, t] * b[t, j]
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = RandomSource(0).normal((3, 5))
-        assert np.array_equal(matmul(np.eye(3), m), m)
-
-    def test_hand_example(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0], [1.0]])
-        assert np.array_equal(matmul(a, b), [[2.0], [4.0]])
-
-    def test_against_triple_loop(self):
-        rng = RandomSource(7)
-        a, b = rng.spawn(0).normal((5, 7)), rng.spawn(1).normal((7, 3))
-        np.testing.assert_allclose(matmul(a, b), naive_matmul(a, b), rtol=1e-13)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
+                          exact_svd, frobenius_norm, nuclear_norm, qr_thin,
+                          randomized_svd)
 
 
 class TestNorms:
