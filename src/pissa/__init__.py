@@ -10,7 +10,8 @@ from .adapter import (WINDOWS, AdapterPair, DecomposedLayer,
                       pissa_init, reconstruction_error, to_lora_delta,
                       variant_init)
 from .linalg import (RandomSource, ShapeError, SvdFactors, exact_svd,
-                     frobenius_norm, nuclear_norm, qr_thin, randomized_svd)
+                     frobenius_norm, leading_svd, nuclear_norm, qr_thin,
+                     randomized_svd)
 from .quant import (Nf4Codebook, QuantConfig, QuantizedMatrix, QuantReport,
                     build_nf4_codebook, dequantize, distribution_diagnostics,
                     error_reduction_ratio, loftq_init, qlora_error,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (RandomSource, ShapeError, SvdFactors, as_matrix, exact_svd,
-                     frobenius_norm)
+                     frobenius_norm, leading_svd)
 
 
 @dataclass
@@ -139,7 +139,8 @@ def variant_init(w: np.ndarray, r: int, window: str) -> DecomposedLayer:
     if window not in WINDOWS:
         raise ValueError(f"unknown singular window: {window}")
     lo, hi = WINDOWS[window](min(w.shape), r)
-    pair = _split(exact_svd(w), lo, hi)
+    # A window at the top needs only the leading triplets, not a full SVD.
+    pair = _split(leading_svd(w, hi) if lo == 0 else exact_svd(w), lo, hi)
     return DecomposedLayer(base=w - pair.a @ pair.b, adapter=pair, origin=window)
 
 

@@ -37,7 +37,7 @@ def _add_spec_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float, default=2e-4)
     p.add_argument("--adapter-rank", type=int, default=8)
     p.add_argument("--strategies", type=lambda s: tuple(s.split(",")),
-                   default=("pissa", "lora"))
+                   default=None)
     p.add_argument("--out", default="report.csv")
     p.add_argument("--format", dest="fmt", choices=("csv", "json"),
                    default="csv")

@@ -30,6 +30,9 @@ from .matrix_io import _atomic_write
 KINDS = ("decompose", "quant-bench", "converge", "fastsvd-bench",
          "gradcheck", "ablation")
 
+# Strategies a kind runs when none are given; ablation compares the windows.
+DEFAULT_STRATEGIES = {"ablation": ("principal", "medium", "minor")}
+
 PRETRAIN_CLASSES = (1, 3, 5, 7, 9)
 FINETUNE_CLASSES = (0, 2, 4, 6, 8)
 
@@ -45,7 +48,7 @@ class ExperimentSpec:
     seeds: tuple = tuple(range(10))
     alpha: float = 1.0
     block_size: int = 64
-    strategies: tuple = ("pissa", "lora")
+    strategies: tuple | None = None   # None: the kind's DEFAULT_STRATEGIES
     steps: int = 300
     lr: float = 2e-4
     batch_size: int = 128
@@ -62,6 +65,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind: {self.kind}")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        if self.strategies is None:
+            self.strategies = DEFAULT_STRATEGIES.get(self.kind, ("pissa", "lora"))
         unknown = [s for s in self.strategies if s not in STRATEGIES]
         if unknown:
             raise ValueError(f"unknown init strategy: {', '.join(unknown)}")
@@ -235,10 +240,9 @@ def _write_trace(path, trace) -> None:
 
 def _rows_ablation(spec: ExperimentSpec) -> list[dict]:
     rows = []
-    strategies = ("principal", "medium", "minor")
     for seed in spec.seeds:
         model, fine = toy_pretrained(spec, seed)
-        for strategy in strategies:
+        for strategy in spec.strategies:
             row = _base_row(spec, seed) | {"strategy": strategy}
             with _recording_failure(row):
                 trace, _ = run_finetune(model, fine, _finetune_cfg(spec, seed),

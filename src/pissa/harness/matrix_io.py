@@ -137,6 +137,9 @@ def load_adapter_dir(dirpath) -> DecomposedLayer:
     base_file = meta.get("base_file")
     if base_file is None:
         raise FileFormatError(f"{dirpath}: checkpoint has no stored base")
+    if not isinstance(base_file, str):
+        raise FileFormatError(f"{meta_path}: malformed adapter metadata: base_file "
+                              f"is {type(base_file).__name__}, not a file name")
     if base_file.endswith(".psq4"):
         base = load_quantized(dirpath / base_file)
     else:

@@ -1,9 +1,10 @@
-"""Dense matrix kernels: norms, thin QR, exact and randomized SVD.
+"""Dense matrix kernels: norms, thin QR, exact, leading and randomized SVD.
 
 All routines operate on 2-D float64 numpy arrays ("matrices") and are pure
 functions of their inputs. The exact SVD is the accuracy reference for the
-rest of the package; the randomized SVD trades accuracy for speed via
-Gaussian range finding with subspace iteration.
+rest of the package; the leading SVD gives its top r triplets from the
+Gram eigenproblem without a full SVD; the randomized SVD trades accuracy
+for speed via Gaussian range finding with subspace iteration.
 """
 
 from __future__ import annotations
@@ -138,6 +139,35 @@ def exact_svd(w: np.ndarray) -> SvdFactors:
             raise NumericalError(f"SVD did not converge: {exc}") from exc
         if resid > 1e-10:
             raise NumericalError(f"SVD reconstruction residual {resid:.3e} exceeds 1e-10")
+    return factors
+
+
+def leading_svd(w: np.ndarray, r: int) -> SvdFactors:
+    """Top r singular triplets: exact_svd(w).truncate(r) up to rounding.
+
+    The basis comes from the top r eigenvectors of the Gram matrix of w's
+    shorter side, and one Rayleigh-Ritz step (the exact SVD of the tall
+    r-column product) turns it into singular triplets, so no full m x n
+    SVD is taken. Whenever the triplets miss ||w^T u - v s||_F <= 1e-10
+    ||w||_F (relative, floored at 1 like exact_svd's contract), the
+    exact_svd result is returned instead.
+    """
+    w = as_matrix(w)
+    if not 1 <= r <= min(w.shape):
+        raise ValueError(f"rank {r} out of range for {w.shape}")
+    wide = w.shape[0] < w.shape[1]
+    t = w.T if wide else w
+    # eigh orders eigenvalues ascending, so the leading vectors come last.
+    basis = np.linalg.eigh(t.T @ t)[1][:, ::-1][:, :r]
+    small = exact_svd(t @ basis)
+    u, v = small.u, basis @ small.v
+    if wide:
+        u, v = v, u
+    u, v = _fix_signs(u, v)
+    factors = SvdFactors(u, small.s, v)
+    resid = frobenius_norm(w.T @ u - v * small.s) / max(1.0, frobenius_norm(w))
+    if resid > 1e-10:
+        return exact_svd(w).truncate(r)
     return factors
 
 

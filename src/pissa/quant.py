@@ -9,6 +9,7 @@ plus the nuclear-norm error metrics used to compare them.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -16,7 +17,7 @@ import numpy as np
 from scipy import stats
 
 from . import adapter
-from .linalg import (RandomSource, as_matrix, exact_svd, frobenius_norm,
+from .linalg import (RandomSource, as_matrix, frobenius_norm, leading_svd,
                      nuclear_norm)
 
 # Quantile range endpoint: 1 - (1/32 + 1/30)/2, the NormalFloat lineage default.
@@ -191,7 +192,7 @@ def _alternating_init(w: np.ndarray, r: int, T: int, cfg: QuantConfig | None,
     base = quantize(w, cfg) if quantize_first else None
     for t in range(T):
         target = w if base is None else w - dequantize(base)
-        pair = adapter._split(exact_svd(target), 0, r)
+        pair = adapter._split(leading_svd(target, r), 0, r)
         if quantize_first and t == T - 1:
             break
         base = quantize(w - pair.a @ pair.b, cfg)
@@ -220,8 +221,24 @@ def loftq_init(w: np.ndarray, r: int, T: int = 1,
     return _alternating_init(w, r, T, cfg, quantize_first=True, origin="loftq")
 
 
+# ((digest of w, shape, cfg), qlora_error) of the last matrix a ratio was
+# taken on. Reports on the variants of one matrix come in a row, so one
+# entry serves them all; the digest costs about a tenth of the baseline.
+_baseline_memo: tuple = (None, 0.0)
+
+
+def _baseline_error(w: np.ndarray, cfg: QuantConfig) -> float:
+    """qlora_error(w, cfg), computed once for consecutive calls on one matrix."""
+    global _baseline_memo
+    data = np.ascontiguousarray(as_matrix(w))
+    key = (hashlib.blake2b(data, digest_size=16).digest(), data.shape, cfg)
+    if _baseline_memo[0] != key:
+        _baseline_memo = (key, qlora_error(w, cfg))
+    return _baseline_memo[1]
+
+
 def _reduction_percent(w: np.ndarray, err: float, cfg: QuantConfig) -> float:
-    denom = qlora_error(w, cfg)
+    denom = _baseline_error(w, cfg)
     if denom == 0.0:
         raise ZeroDivisionError("direct quantization error is zero; ratio undefined")
     return (1.0 - err / denom) * 100.0

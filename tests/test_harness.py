@@ -175,6 +175,15 @@ class TestAdapterCheckpoints:
         with pytest.raises(FileFormatError, match=f"meta.json.*{key}"):
             load_adapter_dir(tmp_path / "c")
 
+    def test_non_string_base_file_rejected(self, tmp_path):
+        save_adapter_dir(tmp_path / "c", pissa_init(np.eye(4), 2))
+        meta_path = tmp_path / "c" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["base_file"] = 3
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(FileFormatError, match="meta.json.*base_file"):
+            load_adapter_dir(tmp_path / "c")
+
     @pytest.mark.parametrize("strategy", ["pissa", "medium", "qpissa", "loftq",
                                           "lora", "qlora"])
     def test_reloaded_adapter_trains_like_in_memory(self, tmp_path, strategy):
@@ -319,6 +328,18 @@ class TestExperiments:
         assert sorted(row["strategy"] for row in rows) == ["medium", "minor",
                                                            "principal"]
         assert all(np.isfinite(row["final_loss"]) for row in rows)
+
+    @pytest.mark.parametrize("strategies", [None, ("lora", "medium")],
+                             ids=["default", "passed"])
+    def test_ablation_header_names_its_rows(self, tmp_path, strategies):
+        rows = run_experiment(tiny_spec("ablation", tmp_path, seeds=(0,),
+                                        strategies=strategies))
+        first = (tmp_path / "report.csv").read_text().splitlines()[0]
+        header = json.loads(first[2:])
+        assert tuple(header["config"]["strategies"]) == tuple(
+            row["strategy"] for row in rows)
+        assert tuple(row["strategy"] for row in rows) == (
+            strategies or ("principal", "medium", "minor"))
 
     def test_json_format(self, tmp_path):
         spec = tiny_spec("decompose", tmp_path,

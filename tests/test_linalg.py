@@ -3,8 +3,8 @@ import pytest
 
 from pissa.harness.data import generate_spectral_matrix
 from pissa.linalg import (NumericalError, RandomSource, ShapeError, as_matrix,
-                          exact_svd, frobenius_norm, nuclear_norm, qr_thin,
-                          randomized_svd)
+                          exact_svd, frobenius_norm, leading_svd, nuclear_norm,
+                          qr_thin, randomized_svd)
 
 
 class TestNorms:
@@ -121,6 +121,66 @@ class TestExactSvd:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             exact_svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+# (matrix, r) pairs for leading_svd: tall, wide, r = min(m, n), rank
+# deficient (rank 4, asked for 6), zero, and a single row.
+LEADING_CASES = {
+    "tall": (generate_spectral_matrix(40, 24, 1.0, 1), 6),
+    "wide": (generate_spectral_matrix(24, 40, 1.0, 2), 6),
+    "full": (RandomSource(3).normal((20, 12)), 12),
+    "rank_deficient": (RandomSource(4).normal((30, 4))
+                       @ RandomSource(5).normal((4, 25)), 6),
+    "zero": (np.zeros((7, 5)), 3),
+    "row": (RandomSource(6).normal((1, 9)), 1),
+}
+
+
+class TestLeadingSvd:
+    @pytest.mark.parametrize("case", LEADING_CASES)
+    def test_matches_truncated_exact_svd(self, case):
+        w, r = LEADING_CASES[case]
+        f, ref = leading_svd(w, r), exact_svd(w).truncate(r)
+        assert f.u.shape == ref.u.shape and f.v.shape == ref.v.shape
+        tol = 1e-12 * max(1.0, ref.s[0])
+        # Relative for nonzero singular values, absolute for the zero ones.
+        np.testing.assert_allclose(f.s, ref.s, rtol=1e-12, atol=tol)
+        # Projectors onto the nonzero components; the vectors of zero
+        # singular values are arbitrary, so only their product is compared.
+        k = int(np.sum(ref.s > tol))
+        for a, b in ((f.u[:, :k], ref.u[:, :k]), (f.v[:, :k], ref.v[:, :k])):
+            np.testing.assert_allclose(a @ a.T, b @ b.T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(f.reconstruct(), ref.reconstruct(),
+                                   rtol=0, atol=tol)
+        np.testing.assert_allclose(f.u.T @ f.u, np.eye(r), atol=1e-12)
+        np.testing.assert_allclose(f.v.T @ f.v, np.eye(r), atol=1e-12)
+        idx = np.argmax(np.abs(f.u), axis=0)
+        assert (f.u[idx, np.arange(r)] >= 0).all()
+
+    def test_deterministic(self):
+        w = generate_spectral_matrix(48, 32, 1.0, 7)
+        a, b = leading_svd(w, 8), leading_svd(w, 8)
+        for x, y in ((a.u, b.u), (a.s, b.s), (a.v, b.v)):
+            assert np.array_equal(x, y)
+
+    def test_bad_basis_falls_back_to_exact_svd(self, monkeypatch):
+        w = generate_spectral_matrix(30, 20, 1.0, 8)
+        ref = exact_svd(w).truncate(5)
+
+        def bad_eigh(g):
+            # An orthonormal basis that spans no invariant subspace.
+            q, _ = np.linalg.qr(RandomSource(0).normal(g.shape))
+            return np.zeros(g.shape[0]), q
+
+        monkeypatch.setattr(np.linalg, "eigh", bad_eigh)
+        f = leading_svd(w, 5)
+        for x, y in ((f.u, ref.u), (f.s, ref.s), (f.v, ref.v)):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("r", [0, 11])
+    def test_rank_out_of_range(self, r):
+        with pytest.raises(ValueError):
+            leading_svd(np.ones((10, 12)), r)
 
 
 def householder_qr(m):

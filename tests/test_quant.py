@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from pissa import quant
 from pissa.adapter import merge, pissa_init
 from pissa.harness.data import generate_spectral_matrix
 from pissa.linalg import RandomSource, exact_svd, frobenius_norm, nuclear_norm
@@ -361,33 +362,81 @@ class TestErrorReductionRatio:
 
     @pytest.mark.parametrize("seed", RANK_DEFICIENT_SEEDS)
     def test_report_on_rank_deficient_residual(self, seed):
-        # The error matrix left by LoftQ is numerically rank deficient. On
-        # seed 53, gesdd returns factors whose residual (1.5e-10) misses the
-        # 1e-10 reconstruction contract, and exact_svd must fall back to
-        # gesvd. Seeds 9 and 34 meet it under gesdd (1.6e-16 and 2.0e-11)
-        # and stay as rank-deficient cases that need no retry.
+        # The error matrix left by LoftQ is numerically rank deficient: its
+        # last 16 singular values are below 1e-10 of the first. gesdd
+        # decomposes all three to about 1.7e-16, inside the 1e-10 contract;
+        # the test below drives the gesvd retry on them.
         w = generate_spectral_matrix(128, 128, 1.0, seed)
         rep = quant_report(w, loftq_init(w, 16, 1))
         assert 0.0 < rep.reduction_ratio_percent < 100.0
 
     def test_rank_deficient_seeds_exercise_gesvd_retry(self, monkeypatch):
-        # quant_report only needs singular values, which nuclear_norm takes
-        # without exact_svd, so the retry is driven here by decomposing the
-        # same residuals directly. If new data bits stop driving gesdd past
-        # the contract, this fails instead of the fallback going untested.
+        # A spy makes gesdd's first answer on each residual miss the
+        # contract, so the retry runs whatever the data bits: exact_svd must
+        # call gesvd once and return factors that meet the contract.
         from scipy import linalg as sla
-        drivers = []
-        svd = sla.svd
+        svd, sla_svd = np.linalg.svd, sla.svd
+        misses, drivers = [], []
+
+        def off_once(m, **kwargs):
+            u, s, vt = svd(m, **kwargs)
+            if misses:
+                misses.pop()
+                s = s * (1 + 1e-6)
+            return u, s, vt
 
         def spy(*args, **kwargs):
             drivers.append(kwargs.get("lapack_driver"))
-            return svd(*args, **kwargs)
+            return sla_svd(*args, **kwargs)
 
+        monkeypatch.setattr(np.linalg, "svd", off_once)
         monkeypatch.setattr(sla, "svd", spy)
         for seed in RANK_DEFICIENT_SEEDS:
             w = generate_spectral_matrix(128, 128, 1.0, seed)
-            exact_svd(w - merge(loftq_init(w, 16, 1)))
-        assert "gesvd" in drivers
+            residual = w - merge(loftq_init(w, 16, 1))
+            expected = np.sum(svd(residual, compute_uv=False))
+            misses.append(True)
+            drivers.clear()
+            f = exact_svd(residual)
+            assert drivers == ["gesvd"] and not misses
+            err = frobenius_norm(f.reconstruct() - residual)
+            assert err / max(1.0, frobenius_norm(residual)) <= 1e-10
+            assert np.sum(f.s) == pytest.approx(expected, rel=1e-12)
+
+    def test_baseline_computed_once_per_matrix(self, monkeypatch):
+        calls = []
+        qlora_error_real = quant.qlora_error
+
+        def spy(w, cfg=None):
+            calls.append(w.shape)
+            return qlora_error_real(w, cfg)
+
+        monkeypatch.setattr(quant, "qlora_error", spy)
+        monkeypatch.setattr(quant, "_baseline_memo", (None, 0.0))
+        cfg = QuantConfig(block_size=16)
+        w = generate_spectral_matrix(24, 32, 1.0, 6)
+        baseline = qlora_error_real(w, cfg)
+        reports = [quant_report(w, init(w), cfg) for init in (
+            lambda w: qlora_init(w, 4, RandomSource(0), cfg),
+            lambda w: qpissa_init(w, 4, 2, cfg),
+            lambda w: loftq_init(w, 4, 2, cfg))]
+        assert len(calls) == 1
+        assert reports[0].reduction_ratio_percent == 0.0
+        for rep in reports:
+            assert rep.reduction_ratio_percent == (
+                1.0 - rep.nuclear_error / baseline) * 100.0
+        layer = qpissa_init(w, 4, 1, cfg)
+        error_reduction_ratio(w, layer, cfg)
+        assert len(calls) == 1
+        # Another matrix, the same bytes in another shape, or another
+        # block size is a new baseline.
+        changed = w.copy()
+        changed[0, 0] += 1e-3
+        error_reduction_ratio(changed, layer, cfg)
+        tall = w.reshape(32, 24)
+        error_reduction_ratio(tall, qpissa_init(tall, 4, 1, cfg), cfg)
+        error_reduction_ratio(w, layer, QuantConfig(block_size=8))
+        assert calls == [(24, 32)] * 2 + [(32, 24), (24, 32)]
 
     @pytest.mark.parametrize("seed", RANK_DEFICIENT_SEEDS)
     def test_nuclear_norm_matches_exact_svd_on_residual(self, seed):
