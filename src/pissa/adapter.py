@@ -36,8 +36,8 @@ class AdapterPair:
             raise ShapeError(
                 f"adapter factor shapes {self.a.shape}, {self.b.shape} "
                 f"inconsistent with rank {self.rank}")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < np.inf:  # also rejects NaN
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -25,31 +25,21 @@ def _parse_ints(text: str) -> tuple:
 
 
 def _add_spec_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=int, default=256)
-    p.add_argument("--n", type=int, default=256)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--ranks", type=_parse_ints, default=(16,))
-    p.add_argument("--T", dest="iters", type=_parse_ints, default=(1, 5))
-    p.add_argument("--niter", dest="niters", type=_parse_ints, default=(1, 16))
-    p.add_argument("--seeds", type=_parse_seeds, default=tuple(range(10)))
-    p.add_argument("--block-size", type=int, default=64)
-    p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--lr", type=float, default=2e-4)
-    p.add_argument("--adapter-rank", type=int, default=8)
-    p.add_argument("--strategies", type=lambda s: tuple(s.split(",")),
-                   default=None)
-    p.add_argument("--out", default="report.csv")
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                   default="csv")
-
-
-def _spec_from_args(kind: str, args) -> ExperimentSpec:
-    return ExperimentSpec(
-        kind=kind, m=args.m, n=args.n, alpha=args.alpha, ranks=args.ranks,
-        iters=args.iters, niters=args.niters, seeds=args.seeds,
-        block_size=args.block_size, steps=args.steps, lr=args.lr,
-        adapter_rank=args.adapter_rank, strategies=args.strategies,
-        out=args.out, fmt=args.fmt)
+    # No defaults here: an option left out keeps ExperimentSpec's default.
+    p.add_argument("--m", type=int)
+    p.add_argument("--n", type=int)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--ranks", type=_parse_ints)
+    p.add_argument("--T", dest="iters", type=_parse_ints)
+    p.add_argument("--niter", dest="niters", type=_parse_ints)
+    p.add_argument("--seeds", type=_parse_seeds)
+    p.add_argument("--block-size", type=int)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--adapter-rank", type=int)
+    p.add_argument("--strategies", type=lambda s: tuple(s.split(",")))
+    p.add_argument("--out")
+    p.add_argument("--format", dest="fmt", choices=("csv", "json"))
 
 
 def _cmd_decompose(args) -> int:
@@ -102,16 +92,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     for kind in ("quant-bench", "converge", "fastsvd-bench", "gradcheck",
                  "ablation"):
-        p = sub.add_parser(kind)
+        p = sub.add_parser(kind, argument_default=argparse.SUPPRESS)
         _add_spec_args(p)
         p.set_defaults(func=lambda args, kind=kind: _run_kind(kind, args))
     return parser
 
 
 def _run_kind(kind: str, args) -> int:
-    rows = run_experiment(_spec_from_args(kind, args))
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    spec = ExperimentSpec(kind=kind, **options)
+    rows = run_experiment(spec)
     failures = sum(1 for row in rows if "error" in row)
-    print(f"{kind}: wrote {len(rows)} rows to {args.out}"
+    print(f"{kind}: wrote {len(rows)} rows to {spec.out}"
           + (f" ({failures} failed)" if failures else ""))
     return 0 if failures == 0 else 1
 

@@ -12,6 +12,9 @@ from ..train import Dataset
 # smallest component of a non-square spectral matrix.
 DATA_VERSION = "spectral-v2"
 
+# Each class centroid sits this far out along its own coordinate axis.
+_CENTROID_SCALE = 3.0
+
 
 def generate_spectral_matrix(m: int, n: int, alpha: float,
                              seed: int) -> np.ndarray:
@@ -31,8 +34,7 @@ def generate_spectral_matrix(m: int, n: int, alpha: float,
 
 
 def generate_cluster_dataset(classes: int, dim: int, per_class: int,
-                             noise_std: float, seed: int,
-                             centroid_scale: float = 3.0) -> Dataset:
+                             noise_std: float, seed: int) -> Dataset:
     """Gaussian clusters with fixed centroids on scaled coordinate directions."""
     if classes < 2:
         raise ValueError("need at least 2 classes")
@@ -43,7 +45,7 @@ def generate_cluster_dataset(classes: int, dim: int, per_class: int,
     labels = np.empty(classes * per_class, dtype=np.int64)
     for c in range(classes):
         centroid = np.zeros(dim)
-        centroid[c] = centroid_scale
+        centroid[c] = _CENTROID_SCALE
         block = slice(c * per_class, (c + 1) * per_class)
         features[block] = centroid + noise_std * gen.standard_normal((per_class, dim))
         labels[block] = c

@@ -12,9 +12,8 @@ import csv
 import hashlib
 import io
 import json
-import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..adapter import AdapterPair, DecomposedLayer
 from ..linalg import as_matrix
-from ..quant import QuantizedMatrix, build_nf4_codebook
+from ..quant import QuantizedMatrix
 
 MATRIX_MAGIC = b"PSSA"
 QUANT_MAGIC = b"PSQ4"
@@ -61,7 +61,11 @@ def load_matrix(path) -> np.ndarray:
     if len(data) != expected:
         raise FileFormatError(
             f"{path}: expected {expected} bytes, got {len(data)}")
-    return np.frombuffer(data[16:], dtype="<f8").reshape(rows, cols).copy()
+    m = np.frombuffer(data[16:], dtype="<f8").reshape(rows, cols).copy()
+    # save_matrix never writes these; a stored NaN or Inf would flow on silently.
+    if not np.isfinite(m).all():
+        raise FileFormatError(f"{path}: non-finite matrix entry")
+    return m
 
 
 def save_quantized(path, q: QuantizedMatrix) -> None:
@@ -91,30 +95,25 @@ def load_quantized(path) -> QuantizedMatrix:
     # A NaN or infinite scale would dequantize to non-finite entries silently.
     if not (np.isfinite(scales) & (scales >= 0)).all():
         raise FileFormatError(f"{path}: negative or non-finite block scale")
-    levels = build_nf4_codebook().as_array()
-    return QuantizedMatrix(rows, cols, block_size, codes, scales, levels)
+    return QuantizedMatrix(rows, cols, block_size, codes, scales)
 
 
-def save_adapter_dir(dirpath, layer: DecomposedLayer, seed: int | None = None,
-                     include_base: bool = True) -> None:
-    """Write A.pssa, B.pssa, optional base, and a metadata file."""
+def save_adapter_dir(dirpath, layer: DecomposedLayer) -> None:
+    """Write A.pssa, B.pssa, the base, and a metadata file."""
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     save_matrix(dirpath / "A.pssa", layer.adapter.a)
     save_matrix(dirpath / "B.pssa", layer.adapter.b)
-    base_file = None
-    if include_base:
-        if isinstance(layer.base, np.ndarray):
-            base_file = "base.pssa"
-            save_matrix(dirpath / base_file, layer.base)
-        else:
-            base_file = "base.psq4"
-            save_quantized(dirpath / base_file, layer.base)
+    if isinstance(layer.base, np.ndarray):
+        base_file = "base.pssa"
+        save_matrix(dirpath / base_file, layer.base)
+    else:
+        base_file = "base.psq4"
+        save_quantized(dirpath / base_file, layer.base)
     meta = {
         "rank": layer.adapter.rank,
         "scale": layer.adapter.scale,
         "origin": layer.origin,
-        "seed": seed,
         "base_file": base_file,
     }
     _atomic_write(dirpath / "meta.json",
@@ -131,6 +130,10 @@ def load_adapter_dir(dirpath) -> DecomposedLayer:
         raise FileFormatError(
             f"{meta_path}: malformed adapter metadata: {type(exc).__name__}: {exc}"
         ) from exc
+    # json reads NaN, Infinity and overflowing literals such as 1e400 as floats.
+    if rank < 1 or not 0 < scale < math.inf:
+        raise FileFormatError(f"{meta_path}: malformed adapter metadata: "
+                              f"rank {rank}, scale {scale}")
     a = load_matrix(dirpath / "A.pssa")
     b = load_matrix(dirpath / "B.pssa")
     pair = AdapterPair(a=a, b=b, rank=rank, scale=scale)

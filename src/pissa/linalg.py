@@ -9,7 +9,7 @@ for speed via Gaussian range finding with subspace iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class RandomSource:
     """
 
     seed: int
-    algorithm: str = PRNG_NAME
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(self.seed))
@@ -185,8 +184,12 @@ def qr_thin(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.qr(m, mode="reduced")
 
 
-def randomized_svd(w: np.ndarray, r: int, niter: int, rng: RandomSource,
-                   oversample: int = 10) -> SvdFactors:
+# Extra Gaussian test vectors the range finder draws beyond the rank.
+_OVERSAMPLE = 10
+
+
+def randomized_svd(w: np.ndarray, r: int, niter: int,
+                   rng: RandomSource) -> SvdFactors:
     """Truncated rank-r SVD via Gaussian range finding plus subspace iteration.
 
     ``niter`` subspace iterations refine the range basis; larger values give
@@ -199,7 +202,7 @@ def randomized_svd(w: np.ndarray, r: int, niter: int, rng: RandomSource,
         raise ValueError(f"rank {r} out of range for {w.shape}")
     if niter < 0:
         raise ValueError("niter must be non-negative")
-    k = min(k_max, r + oversample)
+    k = min(k_max, r + _OVERSAMPLE)
     omega = rng.normal((n, k))
     q, _ = qr_thin(w @ omega)
     for _ in range(niter):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -30,19 +30,6 @@ class Nf4Codebook:
 
     levels: tuple
 
-    def __post_init__(self):
-        lv = np.asarray(self.levels)
-        if lv.shape != (16,):
-            raise ValueError("codebook must have exactly 16 levels")
-        if not (np.diff(lv) > 0).all():
-            raise ValueError("codebook levels must be strictly increasing")
-        for required in (-1.0, 0.0, 1.0):
-            if required not in lv:
-                raise ValueError(f"codebook must contain {required} exactly")
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.levels, dtype=np.float64)
-
 
 def build_nf4_codebook() -> Nf4Codebook:
     """Build the 16-level NormalFloat codebook from standard-normal quantiles.
@@ -58,10 +45,15 @@ def build_nf4_codebook() -> Nf4Codebook:
     return Nf4Codebook(tuple(levels.tolist()))
 
 
+# The one codebook every quantized matrix is coded in; PSQ4 files store
+# codes and scales only, so a second codebook could not be reloaded.
+NF4_LEVELS = np.asarray(build_nf4_codebook().levels)
+NF4_LEVELS.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class QuantConfig:
     block_size: int = 64
-    codebook: Nf4Codebook = field(default_factory=build_nf4_codebook)
 
     def __post_init__(self):
         if self.block_size < 1:
@@ -70,14 +62,14 @@ class QuantConfig:
 
 @dataclass
 class QuantizedMatrix:
-    """Block-quantized matrix: packed 4-bit codes plus per-block absmax scales."""
+    """Block-quantized matrix: packed 4-bit indices into NF4_LEVELS plus
+    per-block absmax scales."""
 
     rows: int
     cols: int
     block_size: int
     codes: np.ndarray    # uint8, two 4-bit codes per byte, low nibble first
     scales: np.ndarray   # float64, one per block
-    levels: np.ndarray   # float64 codebook snapshot
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -99,7 +91,7 @@ def _pack(codes: np.ndarray) -> np.ndarray:
     return (codes[0::2] | (codes[1::2] << 4)).astype(np.uint8)
 
 
-def quantize(m: np.ndarray, cfg: QuantConfig | None = None) -> QuantizedMatrix:
+def quantize(m: np.ndarray, cfg: QuantConfig = QuantConfig()) -> QuantizedMatrix:
     """Block-wise nearest-level quantization with absmax scaling.
 
     Each entry is divided by its block's absmax and coded as the nearer of
@@ -107,12 +99,10 @@ def quantize(m: np.ndarray, cfg: QuantConfig | None = None) -> QuantizedMatrix:
     resolve toward the smaller index, bit for bit as an argmin over all
     levels would. A block of zeros gets scale 0 and zero-level codes.
     """
-    cfg = cfg or QuantConfig()
     m = as_matrix(m)
     flat = m.ravel()
     bs = cfg.block_size
     nblocks = math.ceil(flat.size / bs)
-    levels = cfg.codebook.as_array()
     # Zero padding leaves each block's absmax, and so its scale, unchanged.
     # A matrix smaller than one block is that block, unpadded.
     width = min(bs, flat.size)
@@ -126,14 +116,14 @@ def quantize(m: np.ndarray, cfg: QuantConfig | None = None) -> QuantizedMatrix:
     # counts the inner levels at or below x; 14 vectorized comparisons
     # beat a binary search (np.searchsorted) about fivefold here.
     lo = np.zeros(x.shape, dtype=np.uint8)
-    for level in levels[1:-1]:
+    for level in NF4_LEVELS[1:-1]:
         lo += x >= level
     # Any level outside the bracket is farther by at least one level gap,
     # so the strict comparison reproduces argmin's tie rule exactly.
     # Comparing x with precomputed midpoints would not.
-    codes = lo + (np.abs(x - levels[lo + 1]) < np.abs(x - levels[lo]))
+    codes = lo + (np.abs(x - NF4_LEVELS[lo + 1]) < np.abs(x - NF4_LEVELS[lo]))
     codes = codes.ravel()[:flat.size]
-    return QuantizedMatrix(m.shape[0], m.shape[1], bs, _pack(codes), scales, levels)
+    return QuantizedMatrix(m.shape[0], m.shape[1], bs, _pack(codes), scales)
 
 
 def _entry_scales(q: QuantizedMatrix) -> np.ndarray:
@@ -151,26 +141,24 @@ def _entry_scales(q: QuantizedMatrix) -> np.ndarray:
 
 def dequantize(q: QuantizedMatrix) -> np.ndarray:
     """Map codes back through the codebook and per-block scales."""
-    values = q.levels[q.unpacked_codes()]
+    values = NF4_LEVELS[q.unpacked_codes()]
     return (values * _entry_scales(q)).reshape(q.rows, q.cols)
 
 
 def quantization_error_bound(q: QuantizedMatrix) -> np.ndarray:
     """Per-entry worst-case rounding error: block scale times half the widest gap."""
-    half_gap = np.max(np.diff(q.levels)) / 2.0
+    half_gap = np.max(np.diff(NF4_LEVELS)) / 2.0
     return (_entry_scales(q) * half_gap).reshape(q.rows, q.cols)
 
 
-def qlora_error(w: np.ndarray, cfg: QuantConfig | None = None) -> float:
+def qlora_error(w: np.ndarray, cfg: QuantConfig = QuantConfig()) -> float:
     """Nuclear norm of the direct-quantization error matrix."""
-    cfg = cfg or QuantConfig()
     return nuclear_norm(w - dequantize(quantize(w, cfg)))
 
 
 def qlora_init(w: np.ndarray, r: int, rng: RandomSource,
-               cfg: QuantConfig | None = None):
+               cfg: QuantConfig = QuantConfig()):
     """Quantize the base directly; Gaussian A, zero B (the zero-adapter baseline)."""
-    cfg = cfg or QuantConfig()
     w = as_matrix(w)
     adapter._check_rank(w, r)
     return adapter.DecomposedLayer(base=quantize(w, cfg),
@@ -178,13 +166,12 @@ def qlora_init(w: np.ndarray, r: int, rng: RandomSource,
                                    origin="qlora")
 
 
-def _alternating_init(w: np.ndarray, r: int, T: int, cfg: QuantConfig | None,
+def _alternating_init(w: np.ndarray, r: int, T: int, cfg: QuantConfig,
                       quantize_first: bool, origin: str):
     """T rounds each of fitting (A, B) to w minus the dequantized base and of
     quantizing w - AB into the base. quantize_first (LoftQ) starts by
     quantizing w and ends on a fit; otherwise (QPiSSA) the first fit is to w.
     """
-    cfg = cfg or QuantConfig()
     w = as_matrix(w)
     adapter._check_rank(w, r)
     if T < 1:
@@ -200,7 +187,7 @@ def _alternating_init(w: np.ndarray, r: int, T: int, cfg: QuantConfig | None,
 
 
 def qpissa_init(w: np.ndarray, r: int, T: int = 1,
-                cfg: QuantConfig | None = None):
+                cfg: QuantConfig = QuantConfig()):
     """Principal-component adapter with a quantized residual base.
 
     T = 1 takes the principal factors of w and quantizes w - AB. Further
@@ -211,7 +198,7 @@ def qpissa_init(w: np.ndarray, r: int, T: int = 1,
 
 
 def loftq_init(w: np.ndarray, r: int, T: int = 1,
-               cfg: QuantConfig | None = None):
+               cfg: QuantConfig = QuantConfig()):
     """Alternating quantization / error-matrix SVD initialization.
 
     Starts from the directly quantized base and fits the adapter to the
@@ -244,13 +231,12 @@ def _reduction_percent(w: np.ndarray, err: float, cfg: QuantConfig) -> float:
     return (1.0 - err / denom) * 100.0
 
 
-def error_reduction_ratio(w: np.ndarray, layer, cfg: QuantConfig | None = None) -> float:
+def error_reduction_ratio(w: np.ndarray, layer, cfg: QuantConfig = QuantConfig()) -> float:
     """Percentage decrease in nuclear quantization error vs direct quantization.
 
     Positive means the layer's base+adapter beats quantizing w outright;
     the zero-adapter baseline yields exactly 0.
     """
-    cfg = cfg or QuantConfig()
     return _reduction_percent(w, nuclear_norm(w - adapter.merge(layer)), cfg)
 
 
@@ -265,8 +251,7 @@ class QuantReport:
     reduction_ratio_percent: float
 
 
-def quant_report(w: np.ndarray, layer, cfg: QuantConfig | None = None) -> QuantReport:
-    cfg = cfg or QuantConfig()
+def quant_report(w: np.ndarray, layer, cfg: QuantConfig = QuantConfig()) -> QuantReport:
     err_matrix = w - adapter.merge(layer)
     nuclear = nuclear_norm(err_matrix)
     return QuantReport(

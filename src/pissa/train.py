@@ -16,7 +16,7 @@ import numpy as np
 from .adapter import (WINDOWS, DecomposedLayer, _factored, adapter_gradients,
                       dense_base, lora_init, variant_init)
 from .linalg import RandomSource, ShapeError, as_matrix
-from .quant import loftq_init, qlora_init, qpissa_init
+from .quant import QuantConfig, loftq_init, qlora_init, qpissa_init
 
 
 class DivergenceError(RuntimeError):
@@ -54,9 +54,6 @@ class TrainConfig:
     steps: int = 300
     warmup_ratio: float = 0.03
     weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -162,6 +159,10 @@ def model_forward_backward(model: MlpModel, x: np.ndarray, labels: np.ndarray):
     return loss, grads
 
 
+# Adam moment decay rates and denominator floor, the usual published values.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators keyed like the parameter dict."""
@@ -182,15 +183,15 @@ def adamw_step(state: AdamState, params: dict, grads: dict, lr_t: float,
         p = params[key]
         m = state.m.setdefault(key, np.zeros_like(p))
         v = state.v.setdefault(key, np.zeros_like(p))
-        m *= cfg.beta1
-        m += (1 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1 - cfg.beta2) * np.square(g)
-        m_hat = m / (1 - cfg.beta1 ** t)
-        v_hat = v / (1 - cfg.beta2 ** t)
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * np.square(g)
+        m_hat = m / (1 - ADAM_BETA1 ** t)
+        v_hat = v / (1 - ADAM_BETA2 ** t)
         if cfg.weight_decay:
             p *= 1 - lr_t * cfg.weight_decay
-        p -= lr_t * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        p -= lr_t * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def cosine_warmup_lr(step: int, cfg: TrainConfig) -> float:
@@ -223,7 +224,7 @@ STRATEGIES = {
 
 
 def inject_adapters(model: MlpModel, rank: int, strategy: str,
-                    rng: RandomSource, quant_cfg=None,
+                    rng: RandomSource, quant_cfg: QuantConfig = QuantConfig(),
                     iters: int = 1) -> MlpModel:
     """Replace both plain weight matrices with frozen-base adapter layers."""
     if model.has_adapters:
@@ -297,7 +298,8 @@ def pretrain_mlp(dataset: Dataset, hidden: int, num_classes: int,
 
 
 def run_finetune(model: MlpModel, dataset: Dataset, cfg: TrainConfig,
-                 strategy: str, rank: int = 8, quant_cfg=None,
+                 strategy: str, rank: int = 8,
+                 quant_cfg: QuantConfig = QuantConfig(),
                  iters: int = 1) -> tuple[TrainTrace, MlpModel]:
     """Inject adapters per strategy into a pretrained model and fine-tune.
 

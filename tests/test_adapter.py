@@ -236,6 +236,19 @@ class TestMergeAndConversion:
         lhs = x @ (w + da @ db)
         assert rel_err(lhs, forward(layer, x)) <= 1e-10
 
+    def test_conversion_lossless_on_quantized_base_at_scale_two(self):
+        from pissa.quant import qpissa_init
+        layer = qpissa_init(RandomSource(0).normal((16, 12)), 4)
+        layer.adapter.scale = 2.0
+        init = layer.adapter.copy()
+        original = merge(layer)  # the quantized base plus the initial adapter
+        layer.adapter.a += 0.2 * RandomSource(1).normal(layer.adapter.a.shape)
+        layer.adapter.b += 0.2 * RandomSource(2).normal(layer.adapter.b.shape)
+        da, db = to_lora_delta(init, layer.adapter)
+        x = RandomSource(3).normal((6, 16))
+        lhs = x @ (original + layer.adapter.scale * (da @ db))
+        assert rel_err(lhs, forward(layer, x)) <= 1e-10
+
     def test_mismatched_adapters_rejected(self):
         a = pissa_init(RandomSource(0).normal((9, 7)), 3).adapter
         b = pissa_init(RandomSource(0).normal((9, 7)), 2).adapter
@@ -257,6 +270,12 @@ class TestReconstructionError:
         w = RandomSource(0).normal((64, 64))
         err = reconstruction_error(w, qpissa_init(w, 4))
         assert 0.0 < err < 1.0
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+def test_adapter_pair_rejects_bad_scale(scale):
+    with pytest.raises(ValueError, match="scale"):
+        AdapterPair(np.ones((3, 2)), np.ones((2, 4)), 2, scale)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -54,11 +54,11 @@ class TestClusterDataset:
         assert np.array_equal(d1.labels, d2.labels)
 
     def test_class_means_recover_centroids(self):
-        data = generate_cluster_dataset(3, 6, 500, 0.5, 1, centroid_scale=2.0)
+        data = generate_cluster_dataset(3, 6, 500, 0.5, 1)
         for c in range(3):
             mean = data.features[data.labels == c].mean(axis=0)
             expected = np.zeros(6)
-            expected[c] = 2.0
+            expected[c] = 3.0
             np.testing.assert_allclose(mean, expected, atol=0.15)
 
     def test_low_noise_separable(self):
@@ -107,6 +107,15 @@ class TestMatrixFiles:
         with pytest.raises(FileFormatError, match="bytes"):
             load_matrix(tmp_path / "m.pssa")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, tmp_path, bad):
+        # save_matrix refuses such a matrix, so the file is written by hand.
+        payload = np.array([[1.0, bad], [0.0, 2.0]]).astype("<f8").tobytes()
+        path = tmp_path / "m.pssa"
+        path.write_bytes(b"PSSA" + struct.pack("<III", 1, 2, 2) + payload)
+        with pytest.raises(FileFormatError, match="m.pssa.*non-finite"):
+            load_matrix(path)
+
     def test_quantized_roundtrip(self, tmp_path):
         q = quantize(RandomSource(1).normal((9, 11)), QuantConfig(block_size=16))
         save_quantized(tmp_path / "m.psq4", q)
@@ -134,7 +143,7 @@ class TestAdapterCheckpoints:
     def test_dense_roundtrip(self, tmp_path):
         w = RandomSource(0).normal((12, 10))
         layer = pissa_init(w, 3)
-        save_adapter_dir(tmp_path / "ckpt", layer, seed=42)
+        save_adapter_dir(tmp_path / "ckpt", layer)
         loaded = load_adapter_dir(tmp_path / "ckpt")
         assert np.array_equal(loaded.adapter.a, layer.adapter.a)
         assert np.array_equal(loaded.adapter.b, layer.adapter.b)
@@ -142,7 +151,8 @@ class TestAdapterCheckpoints:
         assert loaded.adapter.rank == 3
         assert loaded.origin == layer.origin
         meta = json.loads((tmp_path / "ckpt" / "meta.json").read_text())
-        assert meta["seed"] == 42
+        assert meta == {"rank": 3, "scale": 1.0, "origin": "pissa",
+                        "base_file": "base.pssa"}
 
     def test_quantized_base_roundtrip(self, tmp_path):
         w = RandomSource(1).normal((16, 16))
@@ -154,10 +164,35 @@ class TestAdapterCheckpoints:
 
     def test_missing_base_rejected(self, tmp_path):
         w = RandomSource(2).normal((8, 8))
-        save_adapter_dir(tmp_path / "nb", lora_init(w, 2, RandomSource(0)),
-                         include_base=False)
-        with pytest.raises(FileFormatError):
+        save_adapter_dir(tmp_path / "nb", lora_init(w, 2, RandomSource(0)))
+        meta_path = tmp_path / "nb" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["base_file"] = None
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(FileFormatError, match="no stored base"):
             load_adapter_dir(tmp_path / "nb")
+
+    @pytest.mark.parametrize("field,text", [
+        ("scale", "NaN"), ("scale", "Infinity"), ("scale", "-Infinity"),
+        ("scale", "1e400"), ("scale", "0"), ("scale", "-1.5"), ("rank", "0"),
+        ("rank", "-2")])
+    def test_bad_rank_or_scale_rejected(self, tmp_path, field, text):
+        save_adapter_dir(tmp_path / "c", pissa_init(np.eye(4), 2))
+        meta_path = tmp_path / "c" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta[field] = "@"
+        meta_path.write_text(json.dumps(meta).replace('"@"', text))
+        with pytest.raises(FileFormatError, match=f"meta.json.*{field}"):
+            load_adapter_dir(tmp_path / "c")
+
+    def test_non_finite_factor_rejected(self, tmp_path):
+        save_adapter_dir(tmp_path / "c", pissa_init(np.eye(4), 2))
+        path = tmp_path / "c" / "B.pssa"
+        raw = bytearray(path.read_bytes())
+        raw[16:24] = struct.pack("<d", np.nan)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError, match="B.pssa"):
+            load_adapter_dir(tmp_path / "c")
 
     def test_malformed_meta_json_rejected(self, tmp_path):
         save_adapter_dir(tmp_path / "c", pissa_init(np.eye(4), 2))
@@ -417,6 +452,17 @@ class TestCli:
         lines = out.read_text().splitlines()
         # Header comment, column row, 3 seeds x the 2 default strategies.
         assert len(lines) == 2 + 3 * 2
+
+    @pytest.mark.parametrize("kind", ["quant-bench", "converge",
+                                      "fastsvd-bench", "gradcheck", "ablation"])
+    def test_defaults_come_from_spec(self, kind, monkeypatch):
+        import pissa.harness.cli as cli
+        specs = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda spec: specs.append(spec) or [])
+        assert main([kind]) == 0
+        assert specs == [ExperimentSpec(kind=kind)]
+        assert specs[0].config_hash() == ExperimentSpec(kind=kind).config_hash()
 
     def test_missing_input_reports_error(self, tmp_path, capsys):
         code = main(["decompose", "--in", str(tmp_path / "none.pssa"),

@@ -198,7 +198,7 @@ class TestAdamW:
     def test_scalar_quadratic_matches_reference(self):
         # Independent scalar re-derivation of the update equations.
         cfg = self.cfg()
-        lr, b1, b2, eps = 0.05, cfg.beta1, cfg.beta2, cfg.eps
+        lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
         x_ref, m, v = 1.0, 0.0, 0.0
         trajectory = []
         for t in range(1, 11):
@@ -352,6 +352,14 @@ class TestGradcheck:
     def test_linear_region_is_tight(self):
         # Push every hidden unit far into the active region: exact chain rule.
         model = inject_adapters(toy_model(6), 2, "pissa", RandomSource(0))
+        model.bias1[:] = 50.0
+        x = RandomSource(10).normal((3, 6)) * 0.01
+        assert gradcheck(model, x, [0, 1, 2], eps=1e-4) <= 1e-6
+
+    @pytest.mark.parametrize("strategy", ["pissa", "qpissa"])
+    def test_linear_region_is_tight_at_scale_two(self, strategy):
+        model = inject_adapters(toy_model(6), 2, strategy, RandomSource(0))
+        model.layer1.adapter.scale = model.layer2.adapter.scale = 2.0
         model.bias1[:] = 50.0
         x = RandomSource(10).normal((3, 6)) * 0.01
         assert gradcheck(model, x, [0, 1, 2], eps=1e-4) <= 1e-6
