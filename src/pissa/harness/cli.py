@@ -9,7 +9,7 @@ from pathlib import Path
 from ..adapter import (forward, merge, pissa_init, reconstruction_error,
                        to_lora_delta)
 from ..linalg import RandomSource, frobenius_norm
-from .experiments import ExperimentSpec, run_experiment
+from .experiments import KINDS, ExperimentSpec, run_experiment
 from .matrix_io import load_adapter_dir, load_matrix, save_adapter_dir, save_matrix
 
 
@@ -90,8 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_convert_lora)
 
-    for kind in ("quant-bench", "converge", "fastsvd-bench", "gradcheck",
-                 "ablation"):
+    for kind in KINDS:
         p = sub.add_parser(kind, argument_default=argparse.SUPPRESS)
         _add_spec_args(p)
         p.set_defaults(func=lambda args, kind=kind: _run_kind(kind, args))

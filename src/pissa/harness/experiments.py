@@ -18,19 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ..adapter import reconstruction_error, pissa_init
 from ..linalg import PRNG_NAME, RandomSource, exact_svd, frobenius_norm, randomized_svd
 from ..quant import QuantConfig, qlora_init, loftq_init, qpissa_init, quant_report
 from ..train import (STRATEGIES, Dataset, MlpModel, TrainConfig, gradcheck,
                      inject_adapters, pretrain_mlp, run_finetune)
 from .data import DATA_VERSION, generate_cluster_dataset, generate_spectral_matrix
 from .matrix_io import _atomic_write
-
-KINDS = ("decompose", "quant-bench", "converge", "fastsvd-bench",
-         "gradcheck", "ablation")
-
-# Strategies a kind runs when none are given; ablation compares the windows.
-DEFAULT_STRATEGIES = {"ablation": ("principal", "medium", "minor")}
 
 PRETRAIN_CLASSES = (1, 3, 5, 7, 9)
 FINETUNE_CLASSES = (0, 2, 4, 6, 8)
@@ -47,7 +40,7 @@ class ExperimentSpec:
     seeds: tuple = tuple(range(10))
     alpha: float = 1.0
     block_size: int = 64
-    strategies: tuple | None = None   # None: the kind's DEFAULT_STRATEGIES
+    strategies: tuple = ("pissa", "lora")
     steps: int = 300
     lr: float = 2e-4
     batch_size: int = 128
@@ -64,8 +57,6 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind: {self.kind}")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
-        if self.strategies is None:
-            self.strategies = DEFAULT_STRATEGIES.get(self.kind, ("pissa", "lora"))
         unknown = [s for s in self.strategies if s not in STRATEGIES]
         if unknown:
             raise ValueError(f"unknown init strategy: {', '.join(unknown)}")
@@ -122,42 +113,31 @@ def _recording_failure(row: dict):
         row["error"] = f"{type(exc).__name__}: {exc}"
 
 
-def matrix_seed(spec: ExperimentSpec, seed: int, index: int = 0) -> int:
-    # Documented splitter: experiment seed xor-mixed with the config index.
-    return RandomSource(seed).spawn(index).seed
-
-
-def _rows_decompose(spec: ExperimentSpec) -> list[dict]:
-    rows = []
-    for seed in spec.seeds:
-        w = generate_spectral_matrix(spec.m, spec.n, spec.alpha,
-                                     matrix_seed(spec, seed))
-        for rank in spec.ranks:
-            row = _base_row(spec, seed) | {"rank": rank}
-            layer = pissa_init(w, rank)
-            row["recon_err"] = reconstruction_error(w, layer)
-            rows.append(row)
-    return rows
+def matrix_seed(seed: int) -> int:
+    # Documented splitter: the experiment seed xor-mixed with index 0.
+    return RandomSource(seed).spawn(0).seed
 
 
 def _rows_quant_bench(spec: ExperimentSpec) -> list[dict]:
     cfg = QuantConfig(block_size=spec.block_size)
+    # Method -> initializer(w, rank, T, seed), called inside its own row so
+    # that a failing initializer costs only its rows.
+    inits = {"qlora": lambda w, r, t, s: qlora_init(w, r, RandomSource(s), cfg),
+             "loftq": lambda w, r, t, s: loftq_init(w, r, t, cfg),
+             "qpissa": lambda w, r, t, s: qpissa_init(w, r, t, cfg)}
+    variants = [("qlora", spec.ranks[0], 1)] + [
+        (method, rank, t) for rank in spec.ranks for t in spec.iters
+        for method in ("loftq", "qpissa")]
     rows = []
     for seed in spec.seeds:
         w = generate_spectral_matrix(spec.m, spec.n, spec.alpha,
-                                     matrix_seed(spec, seed))
-        variants = [("qlora", spec.ranks[0], 1,
-                     qlora_init(w, spec.ranks[0], RandomSource(seed), cfg))]
-        for rank in spec.ranks:
-            for t in spec.iters:
-                variants.append(("loftq", rank, t, loftq_init(w, rank, t, cfg)))
-                variants.append(("qpissa", rank, t, qpissa_init(w, rank, t, cfg)))
-        for method, rank, t, layer in variants:
+                                     matrix_seed(seed))
+        for method, rank, t in variants:
             row = _base_row(spec, seed) | {
                 "method": method, "rank": rank, "T": t,
                 "block_size": spec.block_size}
             with _recording_failure(row):
-                rep = quant_report(w, layer, cfg)
+                rep = quant_report(w, inits[method](w, rank, t, seed), cfg)
                 row |= {"nuclear_err": rep.nuclear_error,
                         "frob_err": rep.frobenius_error,
                         "ratio_percent": rep.reduction_ratio_percent}
@@ -169,7 +149,7 @@ def _rows_fastsvd(spec: ExperimentSpec) -> list[dict]:
     rows = []
     for seed in spec.seeds:
         w = generate_spectral_matrix(spec.m, spec.n, spec.alpha,
-                                     matrix_seed(spec, seed))
+                                     matrix_seed(seed))
         exact = exact_svd(w)
         for rank in spec.ranks:
             trunc = exact.truncate(rank)
@@ -195,7 +175,7 @@ def _rows_fastsvd(spec: ExperimentSpec) -> list[dict]:
 def toy_pretrained(spec: ExperimentSpec, seed: int) -> tuple[MlpModel, Dataset]:
     """Pretrain the toy MLP on the odd classes; return it with the even half."""
     dataset = generate_cluster_dataset(10, spec.dim, spec.per_class,
-                                       spec.noise_std, matrix_seed(spec, seed))
+                                       spec.noise_std, matrix_seed(seed))
     pre_mask = np.isin(dataset.labels, PRETRAIN_CLASSES)
     pre_cfg = TrainConfig(lr=1e-2, batch_size=spec.batch_size, steps=200,
                           seed=seed)
@@ -204,21 +184,18 @@ def toy_pretrained(spec: ExperimentSpec, seed: int) -> tuple[MlpModel, Dataset]:
     return model, dataset.subset(fine_mask)
 
 
-def _finetune_cfg(spec: ExperimentSpec, seed: int) -> TrainConfig:
-    return TrainConfig(lr=spec.lr, batch_size=spec.batch_size,
-                       steps=spec.steps, seed=seed)
-
-
 def _rows_converge(spec: ExperimentSpec) -> list[dict]:
     rows = []
     out_dir = Path(spec.out).parent
     for seed in spec.seeds:
         model, fine = toy_pretrained(spec, seed)
+        cfg = TrainConfig(lr=spec.lr, batch_size=spec.batch_size,
+                          steps=spec.steps, seed=seed)
         for strategy in spec.strategies:
             row = _base_row(spec, seed) | {"strategy": strategy}
             with _recording_failure(row):
-                trace, _ = run_finetune(model, fine, _finetune_cfg(spec, seed),
-                                        strategy, rank=spec.adapter_rank)
+                trace, _ = run_finetune(model, fine, cfg, strategy,
+                                        rank=spec.adapter_rank)
                 row |= {"final_loss": float(trace.losses[-1]),
                         "step1_grad_norm": float(trace.grad_norms[0])}
                 trace_path = out_dir / f"trace_{strategy}_seed{seed}.csv"
@@ -237,24 +214,10 @@ def _write_trace(path, trace) -> None:
     _atomic_write(path, "".join(lines).encode())
 
 
-def _rows_ablation(spec: ExperimentSpec) -> list[dict]:
-    rows = []
-    for seed in spec.seeds:
-        model, fine = toy_pretrained(spec, seed)
-        for strategy in spec.strategies:
-            row = _base_row(spec, seed) | {"strategy": strategy}
-            with _recording_failure(row):
-                trace, _ = run_finetune(model, fine, _finetune_cfg(spec, seed),
-                                        strategy, rank=spec.adapter_rank)
-                row["final_loss"] = float(trace.losses[-1])
-            rows.append(row)
-    return rows
-
-
 def _rows_gradcheck(spec: ExperimentSpec) -> list[dict]:
     rows = []
     for seed in spec.seeds:
-        rng = RandomSource(matrix_seed(spec, seed))
+        rng = RandomSource(matrix_seed(seed))
         d, h, c, r = 6, 5, 4, 2
         model = MlpModel(rng.spawn(0).normal((d, h)),
                          rng.spawn(1).normal(h) * 0.1,
@@ -271,18 +234,18 @@ def _rows_gradcheck(spec: ExperimentSpec) -> list[dict]:
     return rows
 
 
-_RUNNERS = {
-    "decompose": _rows_decompose,
+# Report kind -> row builder; the CLI makes one subcommand per kind. The
+# window ablation is `converge` over principal, medium and minor.
+KINDS = {
     "quant-bench": _rows_quant_bench,
     "converge": _rows_converge,
     "fastsvd-bench": _rows_fastsvd,
     "gradcheck": _rows_gradcheck,
-    "ablation": _rows_ablation,
 }
 
 
 def run_experiment(spec: ExperimentSpec) -> list[dict]:
     """Run one experiment, write its report, and return the rows."""
-    rows = _RUNNERS[spec.kind](spec)
+    rows = KINDS[spec.kind](spec)
     _write_report(spec, rows)
     return rows

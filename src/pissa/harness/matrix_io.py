@@ -125,26 +125,29 @@ def load_adapter_dir(dirpath) -> DecomposedLayer:
     meta_path = dirpath / "meta.json"
     try:
         meta = json.loads(meta_path.read_text())
-        rank, scale, origin = int(meta["rank"]), float(meta["scale"]), meta["origin"]
+        rank, scale, origin = meta["rank"], float(meta["scale"]), meta["origin"]
     except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad JSON
         raise FileFormatError(
             f"{meta_path}: malformed adapter metadata: {type(exc).__name__}: {exc}"
         ) from exc
     # json reads NaN, Infinity and overflowing literals such as 1e400 as floats.
-    if rank < 1 or not 0 < scale < math.inf:
+    if not 0 < scale < math.inf:
         raise FileFormatError(f"{meta_path}: malformed adapter metadata: "
-                              f"rank {rank}, scale {scale}")
+                              f"scale {scale}")
     a = load_matrix(dirpath / "A.pssa")
     b = load_matrix(dirpath / "B.pssa")
+    # A JSON integer only: a float would be truncated, and true is an int too.
+    if type(rank) is not int or rank < 1 or rank != a.shape[1]:
+        raise FileFormatError(f"{meta_path}: malformed adapter metadata: rank "
+                              f"{rank!r} for A.pssa with {a.shape[1]} columns")
     pair = AdapterPair(a=a, b=b, rank=rank, scale=scale)
     base_file = meta.get("base_file")
     if base_file is None:
         raise FileFormatError(f"{dirpath}: checkpoint has no stored base")
-    if not isinstance(base_file, str):
+    # The names save_adapter_dir writes; any other path could leave the directory.
+    loaders = {"base.pssa": load_matrix, "base.psq4": load_quantized}
+    if not isinstance(base_file, str) or base_file not in loaders:
         raise FileFormatError(f"{meta_path}: malformed adapter metadata: base_file "
-                              f"is {type(base_file).__name__}, not a file name")
-    if base_file.endswith(".psq4"):
-        base = load_quantized(dirpath / base_file)
-    else:
-        base = load_matrix(dirpath / base_file)
+                              f"{base_file!r} is not one of {', '.join(loaders)}")
+    base = loaders[base_file](dirpath / base_file)
     return DecomposedLayer(base=base, adapter=pair, origin=origin)

@@ -209,31 +209,31 @@ def cosine_warmup_lr(step: int, cfg: TrainConfig) -> float:
     return cfg.lr * 0.5 * (1.0 + math.cos(math.pi * (step - warmup) / span))
 
 
-# Strategy name -> initializer(w, rank, rng, quant_cfg, iters): one per
-# singular window, then the Gaussian/zero and quantized initializers. The
-# lambdas look the initializers up at call time, so patched module
-# attributes apply.
+# Strategy name -> initializer(w, rank, rng, quant_cfg): one per singular
+# window, then the Gaussian/zero and quantized initializers (one
+# alternating round). The lambdas look the initializers up at call time,
+# so patched module attributes apply.
 STRATEGIES = {
-    **{name: lambda w, r, rng, cfg, t, name=name: variant_init(w, r, name)
+    **{name: lambda w, r, rng, cfg, name=name: variant_init(w, r, name)
        for name in WINDOWS},
-    "lora": lambda w, r, rng, cfg, t: lora_init(w, r, rng),
-    "qpissa": lambda w, r, rng, cfg, t: qpissa_init(w, r, T=t, cfg=cfg),
-    "loftq": lambda w, r, rng, cfg, t: loftq_init(w, r, T=t, cfg=cfg),
-    "qlora": lambda w, r, rng, cfg, t: qlora_init(w, r, rng, cfg=cfg),
+    "lora": lambda w, r, rng, cfg: lora_init(w, r, rng),
+    "qpissa": lambda w, r, rng, cfg: qpissa_init(w, r, cfg=cfg),
+    "loftq": lambda w, r, rng, cfg: loftq_init(w, r, cfg=cfg),
+    "qlora": lambda w, r, rng, cfg: qlora_init(w, r, rng, cfg=cfg),
 }
 
 
 def inject_adapters(model: MlpModel, rank: int, strategy: str,
-                    rng: RandomSource, quant_cfg: QuantConfig = QuantConfig(),
-                    iters: int = 1) -> MlpModel:
+                    rng: RandomSource,
+                    quant_cfg: QuantConfig = QuantConfig()) -> MlpModel:
     """Replace both plain weight matrices with frozen-base adapter layers."""
     if model.has_adapters:
         raise ValueError("model already has adapters injected")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown init strategy: {strategy}")
     init = STRATEGIES[strategy]
-    l1 = init(model.layer1, rank, rng.spawn(1), quant_cfg, iters)
-    l2 = init(model.layer2, rank, rng.spawn(2), quant_cfg, iters)
+    l1 = init(model.layer1, rank, rng.spawn(1), quant_cfg)
+    l2 = init(model.layer2, rank, rng.spawn(2), quant_cfg)
     return MlpModel(l1, model.bias1.copy(), l2, model.bias2.copy())
 
 
@@ -299,15 +299,15 @@ def pretrain_mlp(dataset: Dataset, hidden: int, num_classes: int,
 
 def run_finetune(model: MlpModel, dataset: Dataset, cfg: TrainConfig,
                  strategy: str, rank: int = 8,
-                 quant_cfg: QuantConfig = QuantConfig(),
-                 iters: int = 1) -> tuple[TrainTrace, MlpModel]:
+                 quant_cfg: QuantConfig = QuantConfig()
+                 ) -> tuple[TrainTrace, MlpModel]:
     """Inject adapters per strategy into a pretrained model and fine-tune.
 
     Deterministic given cfg.seed; returns the per-step trace and the tuned
     model. The frozen bases are bit-identical before and after training.
     """
     tuned = inject_adapters(model, rank, strategy, RandomSource(cfg.seed),
-                            quant_cfg=quant_cfg, iters=iters)
+                            quant_cfg=quant_cfg)
     trace = train_model(tuned, dataset, cfg)
     return trace, tuned
 

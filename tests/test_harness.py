@@ -9,13 +9,13 @@ from pissa.adapter import lora_init, merge, pissa_init
 from pissa.harness.cli import main
 from pissa.harness.data import (DATA_VERSION, generate_cluster_dataset,
                                 generate_spectral_matrix)
-from pissa.harness.experiments import (ExperimentSpec, matrix_seed,
+from pissa.harness.experiments import (KINDS, ExperimentSpec, matrix_seed,
                                        run_experiment)
 from pissa.harness.matrix_io import (FileFormatError, load_adapter_dir,
                                      load_matrix, load_quantized,
                                      save_adapter_dir, save_matrix,
                                      save_quantized)
-from pissa.linalg import RandomSource, exact_svd, nuclear_norm
+from pissa.linalg import NumericalError, RandomSource, exact_svd, nuclear_norm
 from pissa.quant import QuantConfig, dequantize, qpissa_init, quantize
 from pissa.train import (Dataset, MlpModel, TrainConfig, inject_adapters,
                          train_model)
@@ -175,7 +175,7 @@ class TestAdapterCheckpoints:
     @pytest.mark.parametrize("field,text", [
         ("scale", "NaN"), ("scale", "Infinity"), ("scale", "-Infinity"),
         ("scale", "1e400"), ("scale", "0"), ("scale", "-1.5"), ("rank", "0"),
-        ("rank", "-2")])
+        ("rank", "-2"), ("rank", "2.7"), ("rank", "true"), ("rank", "3")])
     def test_bad_rank_or_scale_rejected(self, tmp_path, field, text):
         save_adapter_dir(tmp_path / "c", pissa_init(np.eye(4), 2))
         meta_path = tmp_path / "c" / "meta.json"
@@ -219,6 +219,19 @@ class TestAdapterCheckpoints:
         with pytest.raises(FileFormatError, match="meta.json.*base_file"):
             load_adapter_dir(tmp_path / "c")
 
+    @pytest.mark.parametrize("where", ["relative", "absolute"])
+    def test_base_file_outside_checkpoint_rejected(self, tmp_path, where):
+        save_adapter_dir(tmp_path / "c", pissa_init(np.eye(4), 2))
+        outside = tmp_path / "outside.pssa"
+        save_matrix(outside, np.full((4, 4), 7.0))
+        meta_path = tmp_path / "c" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["base_file"] = ("../outside.pssa" if where == "relative"
+                             else str(outside))
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(FileFormatError, match="meta.json.*base_file"):
+            load_adapter_dir(tmp_path / "c")
+
     @pytest.mark.parametrize("strategy", ["pissa", "medium", "qpissa", "loftq",
                                           "lora", "qlora"])
     def test_reloaded_adapter_trains_like_in_memory(self, tmp_path, strategy):
@@ -247,6 +260,9 @@ class TestAdapterCheckpoints:
         assert np.array_equal(t1.grad_norms, t2.grad_norms)
 
 
+WINDOWS_ABLATION = ("principal", "medium", "minor")
+
+
 def tiny_spec(kind, tmp_path, **kw):
     defaults = dict(m=24, n=24, ranks=(4,), iters=(1, 2), niters=(1, 4),
                     seeds=(0, 1), steps=5, batch_size=16, adapter_rank=2,
@@ -271,35 +287,20 @@ class TestExperiments:
         assert not any(tmp_path.iterdir())
 
     def test_config_hash_stable_and_sensitive(self, tmp_path):
-        a = tiny_spec("decompose", tmp_path)
-        b = tiny_spec("decompose", tmp_path)
-        c = tiny_spec("decompose", tmp_path, alpha=2.0)
+        a = tiny_spec("quant-bench", tmp_path)
+        b = tiny_spec("quant-bench", tmp_path)
+        c = tiny_spec("quant-bench", tmp_path, alpha=2.0)
         assert a.config_hash() == b.config_hash() != c.config_hash()
 
     def test_config_hash_ignores_output_options(self, tmp_path):
-        a = tiny_spec("decompose", tmp_path)
-        b = tiny_spec("decompose", tmp_path, out=str(tmp_path / "x" / "r.json"),
-                      fmt="json")
+        a = tiny_spec("fastsvd-bench", tmp_path)
+        b = tiny_spec("fastsvd-bench", tmp_path,
+                      out=str(tmp_path / "x" / "r.json"), fmt="json")
         assert a.config_hash() == b.config_hash()
 
-    def test_matrix_seed_deterministic(self, tmp_path):
-        spec = tiny_spec("decompose", tmp_path)
-        assert matrix_seed(spec, 3) == matrix_seed(spec, 3)
-        assert matrix_seed(spec, 3) != matrix_seed(spec, 4)
-
-    def test_decompose_rows_and_report(self, tmp_path):
-        spec = tiny_spec("decompose", tmp_path)
-        rows = run_experiment(spec)
-        assert len(rows) == 2
-        assert all(row["recon_err"] <= 1e-10 for row in rows)
-        lines = (tmp_path / "report.csv").read_text().splitlines()
-        header = json.loads(lines[0][2:])
-        assert header["config_hash"] == spec.config_hash()
-        assert header["generator"] == "pcg64-v1"
-        assert header["data_version"] == DATA_VERSION == "spectral-v2"
-        parsed = list(csv.DictReader(lines[1:]))
-        assert len(parsed) == 2
-        assert float(parsed[0]["recon_err"]) == rows[0]["recon_err"]
+    def test_matrix_seed_deterministic(self):
+        assert matrix_seed(3) == matrix_seed(3)
+        assert matrix_seed(3) != matrix_seed(4)
 
     def test_replay_is_bit_identical(self, tmp_path):
         spec = tiny_spec("quant-bench", tmp_path)
@@ -310,7 +311,8 @@ class TestExperiments:
         assert (tmp_path / "report.csv").read_bytes() == payload1
 
     def test_quant_bench_rows(self, tmp_path):
-        rows = run_experiment(tiny_spec("quant-bench", tmp_path, seeds=(0,)))
+        spec = tiny_spec("quant-bench", tmp_path, seeds=(0,))
+        rows = run_experiment(spec)
         methods = sorted(row["method"] for row in rows)
         assert methods == ["loftq", "loftq", "qlora", "qpissa", "qpissa"]
         for row in rows:
@@ -319,6 +321,31 @@ class TestExperiments:
                 assert row["ratio_percent"] == 0.0
             else:
                 assert row["ratio_percent"] > 0.0
+        lines = (tmp_path / "report.csv").read_text().splitlines()
+        header = json.loads(lines[0][2:])
+        assert header["config_hash"] == spec.config_hash()
+        assert header["generator"] == "pcg64-v1"
+        assert header["data_version"] == DATA_VERSION == "spectral-v2"
+        parsed = list(csv.DictReader(lines[1:]))
+        assert [float(r["ratio_percent"]) for r in parsed] == [
+            row["ratio_percent"] for row in rows]
+
+    def test_quant_bench_keeps_going_when_an_initializer_fails(
+            self, tmp_path, monkeypatch):
+        import pissa.harness.experiments as experiments
+        clean = run_experiment(tiny_spec("quant-bench", tmp_path, seeds=(0,)))
+
+        def fail(*args, **kwargs):
+            raise NumericalError("forced")
+
+        monkeypatch.setattr(experiments, "loftq_init", fail)
+        rows = run_experiment(tiny_spec("quant-bench", tmp_path, seeds=(0,)))
+        assert [row["method"] for row in rows] == [row["method"] for row in clean]
+        assert [row["error"] for row in rows if row["method"] == "loftq"] == [
+            "NumericalError: forced"] * 2
+        assert [row["ratio_percent"] for row in rows if row["method"] == "qpissa"] == [
+            row["ratio_percent"] for row in clean if row["method"] == "qpissa"]
+        assert "NumericalError: forced" in (tmp_path / "report.csv").read_text()
 
     def test_fastsvd_rows(self, tmp_path):
         rows = run_experiment(tiny_spec("fastsvd-bench", tmp_path, seeds=(0,)))
@@ -344,7 +371,8 @@ class TestExperiments:
             raise DivergenceError(3)
 
         monkeypatch.setattr(experiments, "run_finetune", diverge)
-        rows = run_experiment(tiny_spec("ablation", tmp_path, seeds=(0,)))
+        rows = run_experiment(tiny_spec("converge", tmp_path, seeds=(0,),
+                                        strategies=WINDOWS_ABLATION))
         assert [row["error"] for row in rows] == [
             "DivergenceError: loss diverged at step 3"] * 3
 
@@ -359,25 +387,26 @@ class TestExperiments:
             assert len(trace_lines) == 1 + spec.steps
 
     def test_ablation_rows(self, tmp_path):
-        rows = run_experiment(tiny_spec("ablation", tmp_path, seeds=(0,)))
-        assert sorted(row["strategy"] for row in rows) == ["medium", "minor",
-                                                           "principal"]
+        # The window ablation is converge over the three singular windows.
+        rows = run_experiment(tiny_spec("converge", tmp_path, seeds=(0,),
+                                        strategies=WINDOWS_ABLATION))
+        assert [row["strategy"] for row in rows] == list(WINDOWS_ABLATION)
         assert all(np.isfinite(row["final_loss"]) for row in rows)
 
     @pytest.mark.parametrize("strategies", [None, ("lora", "medium")],
                              ids=["default", "passed"])
     def test_ablation_header_names_its_rows(self, tmp_path, strategies):
-        rows = run_experiment(tiny_spec("ablation", tmp_path, seeds=(0,),
-                                        strategies=strategies))
+        kw = {} if strategies is None else {"strategies": strategies}
+        rows = run_experiment(tiny_spec("converge", tmp_path, seeds=(0,), **kw))
         first = (tmp_path / "report.csv").read_text().splitlines()[0]
         header = json.loads(first[2:])
         assert tuple(header["config"]["strategies"]) == tuple(
             row["strategy"] for row in rows)
         assert tuple(row["strategy"] for row in rows) == (
-            strategies or ("principal", "medium", "minor"))
+            strategies or ("pissa", "lora"))
 
     def test_json_format(self, tmp_path):
-        spec = tiny_spec("decompose", tmp_path,
+        spec = tiny_spec("fastsvd-bench", tmp_path,
                          out=str(tmp_path / "report.json"), fmt="json")
         rows = run_experiment(spec)
         doc = json.loads((tmp_path / "report.json").read_text())
@@ -453,8 +482,7 @@ class TestCli:
         # Header comment, column row, 3 seeds x the 2 default strategies.
         assert len(lines) == 2 + 3 * 2
 
-    @pytest.mark.parametrize("kind", ["quant-bench", "converge",
-                                      "fastsvd-bench", "gradcheck", "ablation"])
+    @pytest.mark.parametrize("kind", list(KINDS))
     def test_defaults_come_from_spec(self, kind, monkeypatch):
         import pissa.harness.cli as cli
         specs = []
