@@ -24,22 +24,22 @@ def _parse_ints(text: str) -> tuple:
     return tuple(int(s) for s in text.split(","))
 
 
-def _add_spec_args(p: argparse.ArgumentParser) -> None:
-    # No defaults here: an option left out keeps ExperimentSpec's default.
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--ranks", type=_parse_ints)
-    p.add_argument("--T", dest="iters", type=_parse_ints)
-    p.add_argument("--niter", dest="niters", type=_parse_ints)
-    p.add_argument("--seeds", type=_parse_seeds)
-    p.add_argument("--block-size", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--adapter-rank", type=int)
-    p.add_argument("--strategies", type=lambda s: tuple(s.split(",")))
-    p.add_argument("--out")
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"))
+# ExperimentSpec field -> (flag, parser). A report subcommand offers the
+# flags of the fields its kind reads (experiments.KINDS) plus --out.
+SPEC_FLAGS = {
+    "m": ("--m", int),
+    "n": ("--n", int),
+    "alpha": ("--alpha", float),
+    "ranks": ("--ranks", _parse_ints),
+    "iters": ("--T", _parse_ints),
+    "niters": ("--niter", _parse_ints),
+    "seeds": ("--seeds", _parse_seeds),
+    "block_size": ("--block-size", int),
+    "steps": ("--steps", int),
+    "lr": ("--lr", float),
+    "adapter_rank": ("--adapter-rank", int),
+    "strategies": ("--strategies", lambda s: tuple(s.split(","))),
+}
 
 
 def _cmd_decompose(args) -> int:
@@ -90,9 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_convert_lora)
 
-    for kind in KINDS:
+    for kind, (_, fields) in KINDS.items():
+        # No defaults here: an option left out keeps ExperimentSpec's default.
         p = sub.add_parser(kind, argument_default=argparse.SUPPRESS)
-        _add_spec_args(p)
+        for field in fields:
+            flag, parse = SPEC_FLAGS[field]
+            p.add_argument(flag, dest=field, type=parse)
+        p.add_argument("--out")
         p.set_defaults(func=lambda args, kind=kind: _run_kind(kind, args))
     return parser
 

@@ -1,7 +1,7 @@
 """Experiment orchestration: reproducible desk-scale studies over seeds.
 
 Each experiment kind expands into one report row per (seed x configuration).
-Rows carry the seed, the PRNG name, and a hash of the spec (output options
+Rows carry the seed, the PRNG name, and a hash of the spec (output path
 excluded) so any report can be replayed bit-for-bit. Per-row failures are
 recorded and the run continues.
 """
@@ -27,6 +27,7 @@ from .matrix_io import _atomic_write
 
 PRETRAIN_CLASSES = (1, 3, 5, 7, 9)
 FINETUNE_CLASSES = (0, 2, 4, 6, 8)
+TRACE_COLUMNS = ("step", "loss", "grad_norm", "lr")
 
 
 @dataclass
@@ -50,7 +51,6 @@ class ExperimentSpec:
     per_class: int = 200
     noise_std: float = 1.0
     out: str = "report.csv"
-    fmt: str = "csv"
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -62,13 +62,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown init strategy: {', '.join(unknown)}")
         if any(r > min(self.m, self.n) for r in self.ranks):
             raise ValueError("rank exceeds min(m, n)")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"unknown format: {self.fmt}")
 
     def config_hash(self) -> str:
-        """Hash of the experiment identity; the output options are left out."""
-        identity = {k: v for k, v in asdict(self).items()
-                    if k not in ("out", "fmt")}
+        """Hash of the experiment identity; the output path is left out."""
+        identity = {k: v for k, v in asdict(self).items() if k != "out"}
         blob = json.dumps(identity, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -79,24 +76,17 @@ def _fmt(value):
     return value
 
 
-def _write_report(spec: ExperimentSpec, rows: list[dict]) -> None:
-    path = Path(spec.out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    header = {"config": asdict(spec), "config_hash": spec.config_hash(),
-              "generator": PRNG_NAME, "data_version": DATA_VERSION}
-    if spec.fmt == "json":
-        payload = json.dumps({"header": header, "rows": rows}, indent=2,
-                             default=str) + "\n"
-    else:
-        keys = sorted({k for row in rows for k in row})
-        buf = io.StringIO()
-        buf.write("# " + json.dumps(header, sort_keys=True, default=str) + "\n")
-        writer = csv.DictWriter(buf, fieldnames=keys)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(v) for k, v in row.items()})
-        payload = buf.getvalue()
-    _atomic_write(path, payload.encode())
+def _write_csv(path, columns, rows: list[dict], comment: str = "") -> None:
+    """Write rows as CSV with LF line ends, under a `# comment` line if given."""
+    buf = io.StringIO()
+    if comment:
+        buf.write(f"# {comment}\n")
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: _fmt(v) for k, v in row.items()})
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    _atomic_write(path, buf.getvalue().encode())
 
 
 def _base_row(spec: ExperimentSpec, seed: int) -> dict:
@@ -186,7 +176,7 @@ def toy_pretrained(spec: ExperimentSpec, seed: int) -> tuple[MlpModel, Dataset]:
 
 def _rows_converge(spec: ExperimentSpec) -> list[dict]:
     rows = []
-    out_dir = Path(spec.out).parent
+    out = Path(spec.out)
     for seed in spec.seeds:
         model, fine = toy_pretrained(spec, seed)
         cfg = TrainConfig(lr=spec.lr, batch_size=spec.batch_size,
@@ -198,20 +188,13 @@ def _rows_converge(spec: ExperimentSpec) -> list[dict]:
                                         rank=spec.adapter_rank)
                 row |= {"final_loss": float(trace.losses[-1]),
                         "step1_grad_norm": float(trace.grad_norms[0])}
-                trace_path = out_dir / f"trace_{strategy}_seed{seed}.csv"
-                _write_trace(trace_path, trace)
-                row["trace_file"] = str(trace_path)
+                # Named after the report, so reports in one directory keep their own.
+                row["trace_file"] = f"{out.stem}.trace_{strategy}_seed{seed}.csv"
+                values = zip(range(len(trace)), trace.losses, trace.grad_norms, trace.lrs)
+                _write_csv(out.parent / row["trace_file"], TRACE_COLUMNS,
+                           [dict(zip(TRACE_COLUMNS, v)) for v in values])
             rows.append(row)
     return rows
-
-
-def _write_trace(path, trace) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    lines = ["step,loss,grad_norm,lr\n"]
-    for i in range(len(trace)):
-        lines.append(f"{i},{trace.losses[i]:.17g},"
-                     f"{trace.grad_norms[i]:.17g},{trace.lrs[i]:.17g}\n")
-    _atomic_write(path, "".join(lines).encode())
 
 
 def _rows_gradcheck(spec: ExperimentSpec) -> list[dict]:
@@ -234,18 +217,25 @@ def _rows_gradcheck(spec: ExperimentSpec) -> list[dict]:
     return rows
 
 
-# Report kind -> row builder; the CLI makes one subcommand per kind. The
-# window ablation is `converge` over principal, medium and minor.
+# Report kind -> (row builder, the ExperimentSpec fields it reads that the CLI
+# offers; toy-model sizes are Python-API only). One CLI subcommand per kind;
+# the window ablation is `converge` over principal, medium and minor.
 KINDS = {
-    "quant-bench": _rows_quant_bench,
-    "converge": _rows_converge,
-    "fastsvd-bench": _rows_fastsvd,
-    "gradcheck": _rows_gradcheck,
+    "quant-bench": (_rows_quant_bench, ("m", "n", "alpha", "ranks", "iters",
+                                        "seeds", "block_size")),
+    "converge": (_rows_converge, ("seeds", "strategies", "steps", "lr",
+                                  "adapter_rank")),
+    "fastsvd-bench": (_rows_fastsvd, ("m", "n", "alpha", "ranks", "niters",
+                                      "seeds")),
+    "gradcheck": (_rows_gradcheck, ("seeds", "strategies")),
 }
 
 
 def run_experiment(spec: ExperimentSpec) -> list[dict]:
     """Run one experiment, write its report, and return the rows."""
-    rows = KINDS[spec.kind](spec)
-    _write_report(spec, rows)
+    rows = KINDS[spec.kind][0](spec)
+    header = {"config": asdict(spec), "config_hash": spec.config_hash(),
+              "generator": PRNG_NAME, "data_version": DATA_VERSION}
+    _write_csv(spec.out, sorted({k for row in rows for k in row}), rows,
+               json.dumps(header, sort_keys=True, default=str))
     return rows

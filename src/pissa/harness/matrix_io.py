@@ -21,6 +21,7 @@ import numpy as np
 from ..adapter import AdapterPair, DecomposedLayer
 from ..linalg import as_matrix
 from ..quant import QuantizedMatrix
+from ..train import STRATEGIES
 
 MATRIX_MAGIC = b"PSSA"
 QUANT_MAGIC = b"PSQ4"
@@ -134,6 +135,10 @@ def load_adapter_dir(dirpath) -> DecomposedLayer:
     if not 0 < scale < math.inf:
         raise FileFormatError(f"{meta_path}: malformed adapter metadata: "
                               f"scale {scale}")
+    # Every initializer stores its own STRATEGIES key as the origin.
+    if not isinstance(origin, str) or origin not in STRATEGIES:
+        raise FileFormatError(f"{meta_path}: malformed adapter metadata: origin "
+                              f"{origin!r} is not an init strategy")
     a = load_matrix(dirpath / "A.pssa")
     b = load_matrix(dirpath / "B.pssa")
     # A JSON integer only: a float would be truncated, and true is an int too.

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import struct
 
 import numpy as np
@@ -17,8 +18,8 @@ from pissa.harness.matrix_io import (FileFormatError, load_adapter_dir,
                                      save_quantized)
 from pissa.linalg import NumericalError, RandomSource, exact_svd, nuclear_norm
 from pissa.quant import QuantConfig, dequantize, qpissa_init, quantize
-from pissa.train import (Dataset, MlpModel, TrainConfig, inject_adapters,
-                         train_model)
+from pissa.train import (STRATEGIES, Dataset, MlpModel, TrainConfig,
+                         inject_adapters, train_model)
 
 
 class TestSpectralMatrix:
@@ -185,6 +186,14 @@ class TestAdapterCheckpoints:
         with pytest.raises(FileFormatError, match=f"meta.json.*{field}"):
             load_adapter_dir(tmp_path / "c")
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"bogus"', "null"])
+    def test_origin_not_a_strategy_rejected(self, tmp_path, text):
+        save_adapter_dir(tmp_path / "c", pissa_init(np.eye(4), 2))
+        meta_path = tmp_path / "c" / "meta.json"
+        meta_path.write_text(meta_path.read_text().replace('"pissa"', text))
+        with pytest.raises(FileFormatError, match="meta.json.*origin"):
+            load_adapter_dir(tmp_path / "c")
+
     def test_non_finite_factor_rejected(self, tmp_path):
         save_adapter_dir(tmp_path / "c", pissa_init(np.eye(4), 2))
         path = tmp_path / "c" / "B.pssa"
@@ -232,8 +241,7 @@ class TestAdapterCheckpoints:
         with pytest.raises(FileFormatError, match="meta.json.*base_file"):
             load_adapter_dir(tmp_path / "c")
 
-    @pytest.mark.parametrize("strategy", ["pissa", "medium", "qpissa", "loftq",
-                                          "lora", "qlora"])
+    @pytest.mark.parametrize("strategy", list(STRATEGIES))
     def test_reloaded_adapter_trains_like_in_memory(self, tmp_path, strategy):
         # Factor memory layout changes BLAS rounding, so a reloaded
         # checkpoint (always C-contiguous) only replays the in-memory trace
@@ -251,6 +259,7 @@ class TestAdapterCheckpoints:
             assert layer.adapter.b.flags.c_contiguous
             save_adapter_dir(tmp_path / name, layer)
             layers.append(load_adapter_dir(tmp_path / name))
+            assert layers[-1].origin == strategy
         reloaded = MlpModel(layers[0], model.bias1.copy(), layers[1],
                             model.bias2.copy())
         cfg = TrainConfig(lr=1e-2, batch_size=16, steps=30, seed=0)
@@ -294,8 +303,7 @@ class TestExperiments:
 
     def test_config_hash_ignores_output_options(self, tmp_path):
         a = tiny_spec("fastsvd-bench", tmp_path)
-        b = tiny_spec("fastsvd-bench", tmp_path,
-                      out=str(tmp_path / "x" / "r.json"), fmt="json")
+        b = tiny_spec("fastsvd-bench", tmp_path, out=str(tmp_path / "x" / "r.csv"))
         assert a.config_hash() == b.config_hash()
 
     def test_matrix_seed_deterministic(self):
@@ -380,11 +388,25 @@ class TestExperiments:
         spec = tiny_spec("converge", tmp_path, seeds=(0,))
         rows = run_experiment(spec)
         assert sorted(row["strategy"] for row in rows) == ["lora", "pissa"]
+        assert b"\r" not in (tmp_path / "report.csv").read_bytes()
         for row in rows:
             assert "error" not in row
-            trace_lines = open(row["trace_file"]).read().splitlines()
+            assert row["trace_file"] == f"report.trace_{row['strategy']}_seed0.csv"
+            raw = (tmp_path / row["trace_file"]).read_bytes()
+            assert b"\r" not in raw
+            trace_lines = raw.decode().splitlines()
             assert trace_lines[0] == "step,loss,grad_norm,lr"
             assert len(trace_lines) == 1 + spec.steps
+
+    def test_converge_reports_in_one_directory_keep_their_traces(self, tmp_path):
+        for name, steps in (("a", 4), ("b", 6)):
+            run_experiment(tiny_spec("converge", tmp_path, seeds=(0,), steps=steps,
+                                     out=str(tmp_path / f"{name}.csv")))
+        for name, steps in (("a", 4), ("b", 6)):
+            lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+            for row in csv.DictReader(lines[1:]):
+                trace = (tmp_path / row["trace_file"]).read_text().splitlines()
+                assert len(trace) == 1 + steps
 
     def test_ablation_rows(self, tmp_path):
         # The window ablation is converge over the three singular windows.
@@ -405,14 +427,32 @@ class TestExperiments:
         assert tuple(row["strategy"] for row in rows) == (
             strategies or ("pissa", "lora"))
 
-    def test_json_format(self, tmp_path):
-        spec = tiny_spec("fastsvd-bench", tmp_path,
-                         out=str(tmp_path / "report.json"), fmt="json")
-        rows = run_experiment(spec)
-        doc = json.loads((tmp_path / "report.json").read_text())
-        assert doc["header"]["config_hash"] == spec.config_hash()
-        assert doc["header"]["data_version"] == DATA_VERSION
-        assert len(doc["rows"]) == len(rows)
+
+# Report flag -> (a value, the ExperimentSpec field it sets, the parsed value).
+# Each value differs from the field's default.
+REPORT_FLAGS = {
+    "--m": ("24", "m", 24),
+    "--n": ("20", "n", 20),
+    "--alpha": ("0.5", "alpha", 0.5),
+    "--ranks": ("4,2", "ranks", (4, 2)),
+    "--T": ("2,3", "iters", (2, 3)),
+    "--niter": ("0,2", "niters", (0, 2)),
+    "--seeds": ("0..2", "seeds", (0, 1, 2)),
+    "--block-size": ("16", "block_size", 16),
+    "--steps": ("7", "steps", 7),
+    "--lr": ("0.01", "lr", 0.01),
+    "--adapter-rank": ("3", "adapter_rank", 3),
+    "--strategies": ("lora,medium", "strategies", ("lora", "medium")),
+    "--format": ("csv", None, None),
+}
+# The report flags each kind reads, besides --out.
+KIND_FLAGS = {
+    "quant-bench": ("--m", "--n", "--alpha", "--ranks", "--T", "--seeds",
+                    "--block-size"),
+    "fastsvd-bench": ("--m", "--n", "--alpha", "--ranks", "--niter", "--seeds"),
+    "converge": ("--seeds", "--strategies", "--steps", "--lr", "--adapter-rank"),
+    "gradcheck": ("--seeds", "--strategies"),
+}
 
 
 class TestCli:
@@ -483,7 +523,7 @@ class TestCli:
         assert len(lines) == 2 + 3 * 2
 
     @pytest.mark.parametrize("kind", list(KINDS))
-    def test_defaults_come_from_spec(self, kind, monkeypatch):
+    def test_defaults_come_from_spec(self, kind, monkeypatch, capsys):
         import pissa.harness.cli as cli
         specs = []
         monkeypatch.setattr(cli, "run_experiment",
@@ -491,6 +531,35 @@ class TestCli:
         assert main([kind]) == 0
         assert specs == [ExperimentSpec(kind=kind)]
         assert specs[0].config_hash() == ExperimentSpec(kind=kind).config_hash()
+        # Each flag the kind reads reaches its field.
+        argv = [kind, "--out", "r.csv"]
+        fields = {"out": "r.csv"}
+        for flag in KIND_FLAGS[kind]:
+            text, field, value = REPORT_FLAGS[flag]
+            argv += [flag, text]
+            fields[field] = value
+        assert main(argv) == 0
+        assert specs[1] == ExperimentSpec(kind=kind, **fields)
+        with pytest.raises(SystemExit):
+            main([kind, "--help"])
+        offered = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+        assert offered == {"--help", "--out", *KIND_FLAGS[kind]}
+
+    @pytest.mark.parametrize("kind,flag", [
+        (kind, flag) for kind in KINDS for flag in REPORT_FLAGS
+        if flag not in KIND_FLAGS[kind]])
+    def test_flag_the_kind_does_not_read_is_rejected(self, tmp_path, kind, flag):
+        # Small settings, so a parser that took the flag would finish fast.
+        cheap = {"--m": "24", "--n": "24", "--ranks": "4", "--T": "1",
+                 "--niter": "1", "--seeds": "0", "--steps": "2"}
+        argv = [kind, "--out", str(tmp_path / "r.csv"), flag, REPORT_FLAGS[flag][0]]
+        for own in KIND_FLAGS[kind]:
+            if own in cheap:
+                argv += [own, cheap[own]]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
 
     def test_missing_input_reports_error(self, tmp_path, capsys):
         code = main(["decompose", "--in", str(tmp_path / "none.pssa"),
