@@ -144,12 +144,12 @@ def variant_init(w: np.ndarray, r: int, window: str) -> DecomposedLayer:
     return DecomposedLayer(base=w - pair.a @ pair.b, adapter=pair, origin=window)
 
 
-def _factored(x: np.ndarray, base: np.ndarray, a: np.ndarray, b: np.ndarray,
+def _factored(x: np.ndarray, x_base: np.ndarray, a: np.ndarray, b: np.ndarray,
               scale: float) -> np.ndarray:
-    # X base + scale (X A) B, never forming base + scale A B. Unchecked, so a
-    # diverged (non-finite) activation flows through to the training loss.
-    # With (base.T, b.T, a.T) it gives the input gradient dY W^T.
-    return x @ base + scale * ((x @ a) @ b)
+    # X W for W = base + scale A B, given x_base = X base, never forming W.
+    # Unchecked, so a diverged (non-finite) activation flows through to the
+    # training loss. With (dY base.T, b.T, a.T) it gives the input gradient dY W^T.
+    return x_base + scale * ((x @ a) @ b)
 
 
 def forward(layer: DecomposedLayer, x: np.ndarray) -> np.ndarray:
@@ -158,7 +158,7 @@ def forward(layer: DecomposedLayer, x: np.ndarray) -> np.ndarray:
     if x.shape[1] != layer.shape[0]:
         raise ShapeError(f"input cols {x.shape[1]} != layer rows {layer.shape[0]}")
     p = layer.adapter
-    return _factored(x, dense_base(layer), p.a, p.b, p.scale)
+    return _factored(x, x @ dense_base(layer), p.a, p.b, p.scale)
 
 
 def adapter_gradients(x: np.ndarray, d_y: np.ndarray,

@@ -70,11 +70,23 @@ def _cmd_convert_lora(args) -> int:
     return 0 if err <= 1e-10 else 1
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Reports an unknown argument with the subcommand's own usage line;
+    argparse would hand it up to the top-level parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pissa",
         description="Principal-singular-value adapter toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
 
     p = sub.add_parser("decompose", help="split a stored matrix into "
                        "adapter factors plus residual")

@@ -99,8 +99,19 @@ def load_quantized(path) -> QuantizedMatrix:
     return QuantizedMatrix(rows, cols, block_size, codes, scales)
 
 
+def _is_strategy(origin) -> bool:
+    # Every initializer stores its own STRATEGIES key as the origin.
+    return isinstance(origin, str) and origin in STRATEGIES
+
+
 def save_adapter_dir(dirpath, layer: DecomposedLayer) -> None:
-    """Write A.pssa, B.pssa, the base, and a metadata file."""
+    """Write A.pssa, B.pssa, the base, and a metadata file.
+
+    An origin that is not an init strategy raises ValueError before anything
+    is written, since load_adapter_dir would refuse the checkpoint.
+    """
+    if not _is_strategy(layer.origin):
+        raise ValueError(f"origin {layer.origin!r} is not an init strategy")
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     save_matrix(dirpath / "A.pssa", layer.adapter.a)
@@ -135,8 +146,7 @@ def load_adapter_dir(dirpath) -> DecomposedLayer:
     if not 0 < scale < math.inf:
         raise FileFormatError(f"{meta_path}: malformed adapter metadata: "
                               f"scale {scale}")
-    # Every initializer stores its own STRATEGIES key as the origin.
-    if not isinstance(origin, str) or origin not in STRATEGIES:
+    if not _is_strategy(origin):
         raise FileFormatError(f"{meta_path}: malformed adapter metadata: origin "
                               f"{origin!r} is not an init strategy")
     a = load_matrix(dirpath / "A.pssa")

@@ -102,18 +102,22 @@ def cross_entropy_with_grad(logits: np.ndarray,
     return loss, probs / b
 
 
-def _layer_product(layer, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+def _layer_product(layer, x: np.ndarray, transpose: bool = False,
+                   x_base: np.ndarray | None = None) -> np.ndarray:
     """x W, or x W^T, for a plain matrix W or an adapter layer.
 
     An adapter layer's W = base + scale A B is never formed: the product is
-    taken in factored form, with rank-r intermediates.
+    taken in factored form, with rank-r intermediates. x_base, if given, is
+    x base, taken ahead by the caller.
     """
     if not isinstance(layer, DecomposedLayer):
         return x @ (layer.T if transpose else layer)
-    base, p = dense_base(layer), layer.adapter
+    p = layer.adapter
     if transpose:
-        return _factored(x, base.T, p.b.T, p.a.T, p.scale)
-    return _factored(x, base, p.a, p.b, p.scale)
+        return _factored(x, x @ dense_base(layer).T, p.b.T, p.a.T, p.scale)
+    if x_base is None:
+        x_base = x @ dense_base(layer)
+    return _factored(x, x_base, p.a, p.b, p.scale)
 
 
 def _dense_view(model: MlpModel) -> MlpModel:
@@ -129,17 +133,20 @@ def _dense_view(model: MlpModel) -> MlpModel:
                    layer2=replace(model.layer2, base=dense_base(model.layer2)))
 
 
-def model_forward_backward(model: MlpModel, x: np.ndarray, labels: np.ndarray):
+def model_forward_backward(model: MlpModel, x: np.ndarray, labels: np.ndarray,
+                           x_base1: np.ndarray | None = None):
     """Loss plus gradients for every trainable parameter.
 
     With adapters injected only (A, B) of each layer and the biases receive
     gradients; the frozen bases are never touched. For a plain-matrix model
     (pretraining) the full weight gradients are returned instead. A quantized
     base is dequantized on every call; train_model and gradcheck pass a
-    view whose bases are already dense.
+    view whose bases are already dense. x_base1, if given, is x times the
+    adapter layer 1's base and stands in for that product: train_model takes
+    it once per run, since the base and the data do not change.
     """
     x = as_matrix(x)
-    pre = _layer_product(model.layer1, x) + model.bias1
+    pre = _layer_product(model.layer1, x, x_base=x_base1) + model.bias1
     h = np.maximum(pre, 0.0)
     logits = _layer_product(model.layer2, h) + model.bias2
     loss, d_logits = cross_entropy_with_grad(logits, labels)
@@ -181,8 +188,9 @@ def adamw_step(state: AdamState, params: dict, grads: dict, lr_t: float,
         if key not in params:
             continue
         p = params[key]
-        m = state.m.setdefault(key, np.zeros_like(p))
-        v = state.v.setdefault(key, np.zeros_like(p))
+        if key not in state.m:
+            state.m[key], state.v[key] = np.zeros_like(p), np.zeros_like(p)
+        m, v = state.m[key], state.v[key]
         m *= ADAM_BETA1
         m += (1 - ADAM_BETA1) * g
         v *= ADAM_BETA2
@@ -237,16 +245,28 @@ def inject_adapters(model: MlpModel, rank: int, strategy: str,
     return MlpModel(l1, model.bias1.copy(), l2, model.bias2.copy())
 
 
-def _trainable_params(model: MlpModel) -> dict:
-    params = {"bias1": model.bias1, "bias2": model.bias2}
+def _pack_trainable(model: MlpModel) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Copy the trainable arrays into one flat buffer and point the model at
+    C-contiguous views of it; return the buffer and the gradient keys in
+    its order.
+
+    The update is elementwise, so one AdamW step on the buffer gives each
+    array the bits a step per array would.
+    """
+    slots = {"bias1": (model, "bias1"), "bias2": (model, "bias2")}
     if model.has_adapters:
-        params.update({
-            "l1.a": model.layer1.adapter.a, "l1.b": model.layer1.adapter.b,
-            "l2.a": model.layer2.adapter.a, "l2.b": model.layer2.adapter.b,
-        })
+        p1, p2 = model.layer1.adapter, model.layer2.adapter
+        slots.update({"l1.a": (p1, "a"), "l1.b": (p1, "b"),
+                      "l2.a": (p2, "a"), "l2.b": (p2, "b")})
     else:
-        params.update({"l1.w": model.layer1, "l2.w": model.layer2})
-    return params
+        slots.update({"l1.w": (model, "layer1"), "l2.w": (model, "layer2")})
+    arrays = [getattr(owner, attr) for owner, attr in slots.values()]
+    flat = np.concatenate(arrays, axis=None)
+    offset = 0
+    for (owner, attr), arr in zip(slots.values(), arrays):
+        setattr(owner, attr, flat[offset:offset + arr.size].reshape(arr.shape))
+        offset += arr.size
+    return flat, tuple(slots)
 
 
 def adapter_grad_norm(grads: dict) -> float:
@@ -260,9 +280,18 @@ def adapter_grad_norm(grads: dict) -> float:
 
 
 def train_model(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> TrainTrace:
+    """Train the model's trainable arrays; return the per-step trace.
+
+    The model's trainable arrays are replaced by views of one flat buffer,
+    with the same values, which takes one AdamW update per step. With
+    adapters, the frozen layer-1 base and the data stay fixed for the run, so
+    their product is taken once and each step gathers its batch rows; layer
+    2's input moves with the adapter.
+    """
     gen = RandomSource(cfg.seed).generator()
-    params = _trainable_params(model)
+    flat, keys = _pack_trainable(model)
     view = _dense_view(model)
+    x_base1 = dataset.features @ view.layer1.base if model.has_adapters else None
     state = AdamState()
     losses = np.empty(cfg.steps)
     norms = np.empty(cfg.steps)
@@ -270,18 +299,21 @@ def train_model(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> TrainTra
     n = len(dataset)
     for step in range(cfg.steps):
         if cfg.batch_size >= n:
-            xb, yb = dataset.features, dataset.labels
+            xb, yb, xb_base1 = dataset.features, dataset.labels, x_base1
         else:
             idx = gen.integers(0, n, size=cfg.batch_size)
             xb, yb = dataset.features[idx], dataset.labels[idx]
-        loss, grads = model_forward_backward(view, xb, yb)
+            xb_base1 = None if x_base1 is None else x_base1[idx]
+        loss, grads = model_forward_backward(view, xb, yb, xb_base1)
         if not math.isfinite(loss):
             raise DivergenceError(step)
         lr_t = cosine_warmup_lr(step, cfg)
         losses[step] = loss
         norms[step] = adapter_grad_norm(grads)
         lrs[step] = lr_t
-        adamw_step(state, params, grads, lr_t, cfg)
+        adamw_step(state, {"flat": flat},
+                   {"flat": np.concatenate([grads[k] for k in keys], axis=None)},
+                   lr_t, cfg)
     return TrainTrace(losses, norms, lrs)
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,6 +194,16 @@ class TestAdapterCheckpoints:
         meta_path.write_text(meta_path.read_text().replace('"pissa"', text))
         with pytest.raises(FileFormatError, match="meta.json.*origin"):
             load_adapter_dir(tmp_path / "c")
+
+    @pytest.mark.parametrize("origin", ["bogus", None, ["pissa"]],
+                             ids=["bogus", "null", "list"])
+    def test_save_rejects_origin_not_a_strategy(self, tmp_path, origin):
+        layer = replace(pissa_init(np.eye(4), 2), origin=origin)
+        with pytest.raises(ValueError, match="origin"):
+            save_adapter_dir(tmp_path / "new", layer)
+        with pytest.raises(ValueError, match="origin"):
+            save_adapter_dir(tmp_path, layer)
+        assert not any(tmp_path.iterdir())
 
     def test_non_finite_factor_rejected(self, tmp_path):
         save_adapter_dir(tmp_path / "c", pissa_init(np.eye(4), 2))
@@ -560,6 +571,18 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--steps", "5"], ["converge", "--m", "512"],
+        ["decompose", "--in", "w.pssa", "--rank", "2", "--out", "o", "extra"]],
+        ids=lambda argv: argv[0])
+    def test_unknown_argument_reported_by_the_subcommand(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: pissa {argv[0]} ")
+        assert f"pissa {argv[0]}: error: unrecognized arguments: " in err
 
     def test_missing_input_reports_error(self, tmp_path, capsys):
         code = main(["decompose", "--in", str(tmp_path / "none.pssa"),

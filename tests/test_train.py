@@ -343,6 +343,83 @@ class TestTraining:
         assert (diffs <= 1e-3).all()
 
 
+def reference_train(model, dataset, cfg):
+    """The training loop without the run-wide layer-1 product and the flat
+    update: model_forward_backward on each batch (dequantizing a quantized
+    base every call) and an adamw_step that updates each array by its key."""
+    gen = RandomSource(cfg.seed).generator()
+    params = {"bias1": model.bias1, "bias2": model.bias2}
+    if model.has_adapters:
+        params.update({"l1.a": model.layer1.adapter.a,
+                       "l1.b": model.layer1.adapter.b,
+                       "l2.a": model.layer2.adapter.a,
+                       "l2.b": model.layer2.adapter.b})
+    else:
+        params.update({"l1.w": model.layer1, "l2.w": model.layer2})
+    state = AdamState()
+    losses, norms, lrs = [], [], []
+    n = len(dataset)
+    for step in range(cfg.steps):
+        if cfg.batch_size >= n:
+            xb, yb = dataset.features, dataset.labels
+        else:
+            idx = gen.integers(0, n, size=cfg.batch_size)
+            xb, yb = dataset.features[idx], dataset.labels[idx]
+        loss, grads = model_forward_backward(model, xb, yb)
+        lr_t = cosine_warmup_lr(step, cfg)
+        losses.append(loss)
+        norms.append(adapter_grad_norm(grads))
+        lrs.append(lr_t)
+        adamw_step(state, params, grads, lr_t, cfg)
+    return losses, norms, lrs
+
+
+def trained_arrays(model):
+    arrays = [model.bias1, model.bias2]
+    if model.has_adapters:
+        for layer in (model.layer1, model.layer2):
+            arrays += [layer.adapter.a, layer.adapter.b]
+    else:
+        arrays += [model.layer1, model.layer2]
+    return arrays
+
+
+class TestTrainingMatchesReferenceLoop:
+    """train_model takes x base1 once per run and makes one AdamW update on a
+    flat buffer per step; both must leave every bit as a plain loop does."""
+
+    @pytest.mark.parametrize("batch_size,weight_decay", [(16, 0.0), (1000, 0.1)])
+    @pytest.mark.parametrize("strategy", ["pissa", "qpissa", "lora"])
+    def test_finetune(self, strategy, batch_size, weight_decay):
+        model, data = toy_model(4, d=12, h=16, c=4), toy_dataset(4, n=60, d=12)
+        cfg = TrainConfig(lr=1e-2, batch_size=batch_size, steps=25,
+                          weight_decay=weight_decay, seed=3)
+        tuned = inject_adapters(model, 3, strategy, RandomSource(cfg.seed))
+        ref = inject_adapters(model, 3, strategy, RandomSource(cfg.seed))
+        trace = train_model(tuned, data, cfg)
+        losses, norms, lrs = reference_train(ref, data, cfg)
+        assert np.array_equal(trace.losses, losses)
+        assert np.array_equal(trace.grad_norms, norms)
+        assert np.array_equal(trace.lrs, lrs)
+        for got, want in zip(trained_arrays(tuned), trained_arrays(ref)):
+            assert np.array_equal(got, want)
+            assert got.flags.c_contiguous
+
+    def test_pretrain(self):
+        data = toy_dataset(5, n=60, d=12)
+        cfg = TrainConfig(lr=1e-2, batch_size=16, steps=25, seed=2)
+        model = pretrain_mlp(data, hidden=16, num_classes=4, cfg=cfg)
+        # pretrain_mlp's initial weights, trained by the reference loop.
+        rng = RandomSource(cfg.seed)
+        ref = MlpModel(rng.spawn(11).normal((12, 16)) * math.sqrt(2.0 / 12),
+                       np.zeros(16),
+                       rng.spawn(12).normal((16, 4)) * math.sqrt(1.0 / 16),
+                       np.zeros(4))
+        reference_train(ref, data, cfg)
+        for got, want in zip(trained_arrays(model), trained_arrays(ref)):
+            assert np.array_equal(got, want)
+
+
 class TestGradcheck:
     def test_generic_model(self):
         model = inject_adapters(toy_model(5), 2, "pissa", RandomSource(0))
