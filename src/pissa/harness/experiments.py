@@ -62,6 +62,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown init strategy: {', '.join(unknown)}")
         if any(r > min(self.m, self.n) for r in self.ranks):
             raise ValueError("rank exceeds min(m, n)")
+        # TrainConfig's checks on the fine-tune settings, before any pretraining.
+        TrainConfig(lr=self.lr, batch_size=self.batch_size, steps=self.steps)
 
     def config_hash(self) -> str:
         """Hash of the experiment identity; the output path is left out."""

@@ -155,7 +155,6 @@ def load_adapter_dir(dirpath) -> DecomposedLayer:
     if type(rank) is not int or rank < 1 or rank != a.shape[1]:
         raise FileFormatError(f"{meta_path}: malformed adapter metadata: rank "
                               f"{rank!r} for A.pssa with {a.shape[1]} columns")
-    pair = AdapterPair(a=a, b=b, rank=rank, scale=scale)
     base_file = meta.get("base_file")
     if base_file is None:
         raise FileFormatError(f"{dirpath}: checkpoint has no stored base")
@@ -165,4 +164,8 @@ def load_adapter_dir(dirpath) -> DecomposedLayer:
         raise FileFormatError(f"{meta_path}: malformed adapter metadata: base_file "
                               f"{base_file!r} is not one of {', '.join(loaders)}")
     base = loaders[base_file](dirpath / base_file)
+    if b.shape[0] != rank or base.shape != (a.shape[0], b.shape[1]):
+        raise FileFormatError(f"{dirpath}: inconsistent shapes: A.pssa {a.shape}, "
+                              f"B.pssa {b.shape}, {base_file} {base.shape}")
+    pair = AdapterPair(a=a, b=b, rank=rank, scale=scale)
     return DecomposedLayer(base=base, adapter=pair, origin=origin)

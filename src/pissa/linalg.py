@@ -141,6 +141,18 @@ def exact_svd(w: np.ndarray) -> SvdFactors:
     return factors
 
 
+def _ritz(t: np.ndarray, basis: np.ndarray, swap: bool) -> SvdFactors:
+    """Rayleigh-Ritz step: w's signed triplets within span(basis), from the
+    exact SVD of the thin product t @ basis. t is w, or w^T (swap) when the
+    basis spans w's column space; the signs are fixed once, on w's u."""
+    small = exact_svd(t @ basis)
+    u, v = small.u, basis @ small.v
+    if swap:
+        u, v = v, u
+    u, v = _fix_signs(u, v)
+    return SvdFactors(u, small.s, v)
+
+
 def leading_svd(w: np.ndarray, r: int) -> SvdFactors:
     """Top r singular triplets: exact_svd(w).truncate(r) up to rounding.
 
@@ -158,16 +170,9 @@ def leading_svd(w: np.ndarray, r: int) -> SvdFactors:
     t = w.T if wide else w
     # eigh orders eigenvalues ascending, so the leading vectors come last.
     basis = np.linalg.eigh(t.T @ t)[1][:, ::-1][:, :r]
-    small = exact_svd(t @ basis)
-    u, v = small.u, basis @ small.v
-    if wide:
-        u, v = v, u
-    u, v = _fix_signs(u, v)
-    factors = SvdFactors(u, small.s, v)
-    resid = frobenius_norm(w.T @ u - v * small.s) / max(1.0, frobenius_norm(w))
-    if resid > 1e-10:
-        return exact_svd(w).truncate(r)
-    return factors
+    f = _ritz(t, basis, swap=wide)
+    resid = frobenius_norm(w.T @ f.u - f.v * f.s) / max(1.0, frobenius_norm(w))
+    return exact_svd(w).truncate(r) if resid > 1e-10 else f
 
 
 def qr_thin(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,22 +198,19 @@ def randomized_svd(w: np.ndarray, r: int, niter: int,
     """Truncated rank-r SVD via Gaussian range finding plus subspace iteration.
 
     ``niter`` subspace iterations refine the range basis; larger values give
-    smaller approximation error at higher cost. Deterministic given ``rng``.
+    smaller approximation error at higher cost. The basis ends in
+    leading_svd's Ritz step, with no fallback. Deterministic given ``rng``.
     """
     w = as_matrix(w)
-    m, n = w.shape
-    k_max = min(m, n)
+    k_max = min(w.shape)
     if not 1 <= r <= k_max:
         raise ValueError(f"rank {r} out of range for {w.shape}")
     if niter < 0:
         raise ValueError("niter must be non-negative")
     k = min(k_max, r + _OVERSAMPLE)
-    omega = rng.normal((n, k))
+    omega = rng.normal((w.shape[1], k))
     q, _ = qr_thin(w @ omega)
     for _ in range(niter):
         z, _ = qr_thin(w.T @ q)
         q, _ = qr_thin(w @ z)
-    small = exact_svd(q.T @ w)
-    u = q @ small.u
-    u, v = _fix_signs(u[:, :r], small.v[:, :r])
-    return SvdFactors(u, small.s[:r].copy(), v)
+    return _ritz(w.T, q, swap=True).truncate(r)

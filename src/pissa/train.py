@@ -9,7 +9,7 @@ loss, adapter gradient norm, and learning rate per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,15 +52,13 @@ class TrainConfig:
     lr: float = 2e-3
     batch_size: int = 128
     steps: int = 300
-    warmup_ratio: float = 0.03
-    weight_decay: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
         if self.lr < 0:
             raise ValueError("lr must be non-negative")
-        if not 0 <= self.warmup_ratio < 1:
-            raise ValueError("warmup_ratio must be in [0, 1)")
+        if self.steps < 1 or self.batch_size < 1:
+            raise ValueError("steps and batch_size must be at least 1")
 
 
 @dataclass
@@ -168,38 +166,31 @@ def model_forward_backward(model: MlpModel, x: np.ndarray, labels: np.ndarray,
 
 # Adam moment decay rates and denominator floor, the usual published values.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# Share of every run's steps on cosine_warmup_lr's linear ramp.
+WARMUP_RATIO = 0.03
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators keyed like the parameter dict."""
+    """Moment accumulators of one array, and the step count."""
 
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
-def adamw_step(state: AdamState, params: dict, grads: dict, lr_t: float,
-               cfg: TrainConfig) -> None:
-    """One decoupled-weight-decay adaptive-moment update, in place."""
+def adamw_step(state: AdamState, p: np.ndarray, g: np.ndarray,
+               lr_t: float) -> None:
+    """One adaptive-moment update of p in place (AdamW, zero weight decay)."""
     state.t += 1
-    t = state.t
-    for key, g in grads.items():
-        if key not in params:
-            continue
-        p = params[key]
-        if key not in state.m:
-            state.m[key], state.v[key] = np.zeros_like(p), np.zeros_like(p)
-        m, v = state.m[key], state.v[key]
-        m *= ADAM_BETA1
-        m += (1 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1 - ADAM_BETA2) * np.square(g)
-        m_hat = m / (1 - ADAM_BETA1 ** t)
-        v_hat = v / (1 - ADAM_BETA2 ** t)
-        if cfg.weight_decay:
-            p *= 1 - lr_t * cfg.weight_decay
-        p -= lr_t * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * np.square(g)
+    m_hat = m / (1 - ADAM_BETA1 ** state.t)
+    v_hat = v / (1 - ADAM_BETA2 ** state.t)
+    p -= lr_t * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def cosine_warmup_lr(step: int, cfg: TrainConfig) -> float:
@@ -210,7 +201,7 @@ def cosine_warmup_lr(step: int, cfg: TrainConfig) -> float:
     """
     if not 0 <= step < cfg.steps:
         raise ValueError(f"step {step} outside [0, {cfg.steps})")
-    warmup = math.ceil(cfg.warmup_ratio * cfg.steps)
+    warmup = math.ceil(WARMUP_RATIO * cfg.steps)
     if step < warmup:
         return cfg.lr * (step + 1) / warmup
     span = max(1, cfg.steps - 1 - warmup)
@@ -292,7 +283,7 @@ def train_model(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> TrainTra
     flat, keys = _pack_trainable(model)
     view = _dense_view(model)
     x_base1 = dataset.features @ view.layer1.base if model.has_adapters else None
-    state = AdamState()
+    state = AdamState(np.zeros_like(flat), np.zeros_like(flat))
     losses = np.empty(cfg.steps)
     norms = np.empty(cfg.steps)
     lrs = np.empty(cfg.steps)
@@ -311,9 +302,8 @@ def train_model(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> TrainTra
         losses[step] = loss
         norms[step] = adapter_grad_norm(grads)
         lrs[step] = lr_t
-        adamw_step(state, {"flat": flat},
-                   {"flat": np.concatenate([grads[k] for k in keys], axis=None)},
-                   lr_t, cfg)
+        adamw_step(state, flat,
+                   np.concatenate([grads[k] for k in keys], axis=None), lr_t)
     return TrainTrace(losses, norms, lrs)
 
 

@@ -239,6 +239,17 @@ class TestAdapterCheckpoints:
         with pytest.raises(FileFormatError, match="meta.json.*base_file"):
             load_adapter_dir(tmp_path / "c")
 
+    @pytest.mark.parametrize("name,shape", [
+        ("B.pssa", (3, 4)), ("B.pssa", (2, 6)), ("base.pssa", (5, 4))],
+        ids=["B-rows", "B-cols", "base-rows"])
+    def test_shape_mismatch_rejected(self, tmp_path, name, shape):
+        # A.pssa is 4x2 (rank 2); each file disagrees with the others' shapes.
+        save_adapter_dir(tmp_path / "c", pissa_init(np.eye(4), 2))
+        save_matrix(tmp_path / "c" / name, np.ones(shape))
+        with pytest.raises(FileFormatError, match="inconsistent shapes.*"
+                           + re.escape(f"{name} {shape}")):
+            load_adapter_dir(tmp_path / "c")
+
     @pytest.mark.parametrize("where", ["relative", "absolute"])
     def test_base_file_outside_checkpoint_rejected(self, tmp_path, where):
         save_adapter_dir(tmp_path / "c", pissa_init(np.eye(4), 2))
@@ -304,6 +315,25 @@ class TestExperiments:
                      "--out", str(out)])
         assert code == 2
         assert "unknown init strategy: bogus" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_bad_steps_rejected_before_any_work(self, tmp_path, capsys,
+                                                monkeypatch, steps):
+        with pytest.raises(ValueError, match="steps"):
+            ExperimentSpec(kind="converge", steps=steps)
+        with pytest.raises(ValueError, match="batch_size"):
+            ExperimentSpec(kind="converge", batch_size=0)
+
+        def no_pretraining(*args, **kw):
+            raise AssertionError("pretrained before the spec was checked")
+
+        monkeypatch.setattr("pissa.harness.experiments.pretrain_mlp",
+                            no_pretraining)
+        code = main(["converge", "--steps", str(steps), "--seeds", "0",
+                     "--out", str(tmp_path / "conv.csv")])
+        assert code == 2
+        assert "ValueError: steps" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_config_hash_stable_and_sensitive(self, tmp_path):

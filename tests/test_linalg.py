@@ -278,6 +278,22 @@ class TestRandomizedSvd:
         np.testing.assert_allclose(fast.u.T @ fast.u, np.eye(8), atol=1e-8)
         np.testing.assert_allclose(fast.v.T @ fast.v, np.eye(8), atol=1e-8)
 
+    @pytest.mark.parametrize("shape", [(40, 24), (24, 40), (30, 30)],
+                             ids=["tall", "wide", "square"])
+    def test_exact_rank_matches_exact_svd_with_signs(self, shape):
+        # On a matrix of exact rank r the range finder captures the whole
+        # range, so the shared Ritz step must give exact_svd's triplets,
+        # sign convention included.
+        r = 5
+        u, _ = np.linalg.qr(RandomSource(1).normal((shape[0], r)))
+        v, _ = np.linalg.qr(RandomSource(2).normal((shape[1], r)))
+        w = (u * [9.0, 7.0, 5.0, 3.0, 1.0]) @ v.T
+        fast = randomized_svd(w, r, 1, RandomSource(3))
+        ref = exact_svd(w).truncate(r)
+        for got, want in ((fast.u, ref.u), (fast.s, ref.s), (fast.v, ref.v)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
     def test_rank_out_of_range(self):
         w = RandomSource(0).normal((4, 4))
         with pytest.raises(ValueError):

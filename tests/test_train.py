@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ import pissa.quant
 from pissa.adapter import adapter_gradients, merge
 from pissa.linalg import RandomSource
 from pissa.quant import QuantizedMatrix
-from pissa.train import (AdamState, Dataset, DivergenceError, MlpModel,
-                         TrainConfig, adamw_step, adapter_grad_norm,
+from pissa.train import (WARMUP_RATIO, AdamState, Dataset, DivergenceError,
+                         MlpModel, TrainConfig, adamw_step, adapter_grad_norm,
                          cosine_warmup_lr, cross_entropy_with_grad, gradcheck,
                          inject_adapters, model_forward_backward, pretrain_mlp,
                          run_finetune, train_model)
@@ -177,27 +178,24 @@ class TestFactoredStep:
 
 
 class TestAdamW:
-    def cfg(self, **kw):
-        return TrainConfig(**{"lr": 0.1, "steps": 10, **kw})
-
     def test_zero_gradient_no_motion(self):
-        p = {"w": np.ones((3, 3))}
-        adamw_step(AdamState(), p, {"w": np.zeros((3, 3))}, 0.1, self.cfg())
-        assert np.array_equal(p["w"], np.ones((3, 3)))
+        p = np.ones((3, 3))
+        adamw_step(AdamState(np.zeros((3, 3)), np.zeros((3, 3))), p,
+                   np.zeros((3, 3)), 0.1)
+        assert np.array_equal(p, np.ones((3, 3)))
 
     def test_constant_gradient_step_approaches_lr(self):
-        cfg = self.cfg()
-        p = {"w": np.zeros(1)}
-        state = AdamState()
-        g = {"w": np.full(1, 3.7)}
+        p = np.zeros(1)
+        state = AdamState(np.zeros(1), np.zeros(1))
+        g = np.full(1, 3.7)
         for _ in range(500):
-            prev = p["w"].copy()
-            adamw_step(state, p, g, 0.01, cfg)
-        assert abs(prev - p["w"])[0] == pytest.approx(0.01, rel=1e-3)
+            prev = p.copy()
+            adamw_step(state, p, g, 0.01)
+        assert state.t == 500
+        assert abs(prev - p)[0] == pytest.approx(0.01, rel=1e-3)
 
     def test_scalar_quadratic_matches_reference(self):
         # Independent scalar re-derivation of the update equations.
-        cfg = self.cfg()
         lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
         x_ref, m, v = 1.0, 0.0, 0.0
         trajectory = []
@@ -209,42 +207,51 @@ class TestAdamW:
                 math.sqrt(v / (1 - b2 ** t)) + eps)
             trajectory.append(x_ref)
 
-        p = {"x": np.array([1.0])}
-        state = AdamState()
+        p = np.array([1.0])
+        state = AdamState(np.zeros(1), np.zeros(1))
         for t in range(10):
-            g = {"x": 2.0 * p["x"]}
-            adamw_step(state, p, g, 0.05, cfg)
-            assert p["x"][0] == pytest.approx(trajectory[t], rel=1e-12)
-
-    def test_weight_decay_shrinks(self):
-        cfg = self.cfg(weight_decay=0.5)
-        p = {"w": np.full(2, 4.0)}
-        adamw_step(AdamState(), p, {"w": np.zeros(2)}, 0.1, cfg)
-        np.testing.assert_allclose(p["w"], 4.0 * (1 - 0.1 * 0.5))
+            adamw_step(state, p, 2.0 * p, 0.05)
+            assert p[0] == pytest.approx(trajectory[t], rel=1e-12)
 
 
 class TestCosineWarmupLr:
+    # Ramp steps of a 100-step run.
+    warmup = math.ceil(WARMUP_RATIO * 100)
+
     def cfg(self):
-        return TrainConfig(lr=1.0, steps=100, warmup_ratio=0.03)
+        return TrainConfig(lr=1.0, steps=100)
 
     def test_first_ramp_tick(self):
-        cfg = self.cfg()  # warmup = ceil(0.03*100) = 3 steps
-        assert cosine_warmup_lr(0, cfg) == pytest.approx(1.0 / 3)
+        assert self.warmup == 3
+        assert cosine_warmup_lr(0, self.cfg()) == pytest.approx(1.0 / self.warmup)
 
     def test_warmup_end_hits_peak(self):
-        assert cosine_warmup_lr(3, self.cfg()) == pytest.approx(1.0)
+        assert cosine_warmup_lr(self.warmup, self.cfg()) == pytest.approx(1.0)
 
     def test_final_step_near_zero(self):
         assert cosine_warmup_lr(99, self.cfg()) <= 1e-12
 
     def test_monotone_decay_after_warmup(self):
         cfg = self.cfg()
-        values = [cosine_warmup_lr(s, cfg) for s in range(3, 100)]
+        values = [cosine_warmup_lr(s, cfg) for s in range(self.warmup, 100)]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             cosine_warmup_lr(100, self.cfg())
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("kw", [{"steps": 0}, {"steps": -3},
+                                    {"batch_size": 0}, {"batch_size": -1},
+                                    {"lr": -1e-3}])
+    def test_rejects_bad_values(self, kw):
+        with pytest.raises(ValueError):
+            TrainConfig(**kw)
+
+    def test_settable_values(self):
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+            "lr", "batch_size", "steps", "seed"]
 
 
 class TestTraining:
@@ -338,7 +345,7 @@ class TestTraining:
         model = inject_adapters(toy_model(2), 2, "pissa", RandomSource(1))
         cfg = TrainConfig(lr=1e-3, batch_size=1000, steps=40, seed=0)
         trace = train_model(model, data, cfg)
-        warmup = math.ceil(cfg.warmup_ratio * cfg.steps)
+        warmup = math.ceil(WARMUP_RATIO * cfg.steps)
         diffs = np.diff(trace.losses[warmup:])
         assert (diffs <= 1e-3).all()
 
@@ -346,7 +353,7 @@ class TestTraining:
 def reference_train(model, dataset, cfg):
     """The training loop without the run-wide layer-1 product and the flat
     update: model_forward_backward on each batch (dequantizing a quantized
-    base every call) and an adamw_step that updates each array by its key."""
+    base every call) and one adamw_step per array, each with its own state."""
     gen = RandomSource(cfg.seed).generator()
     params = {"bias1": model.bias1, "bias2": model.bias2}
     if model.has_adapters:
@@ -356,7 +363,8 @@ def reference_train(model, dataset, cfg):
                        "l2.b": model.layer2.adapter.b})
     else:
         params.update({"l1.w": model.layer1, "l2.w": model.layer2})
-    state = AdamState()
+    states = {key: AdamState(np.zeros_like(p), np.zeros_like(p))
+              for key, p in params.items()}
     losses, norms, lrs = [], [], []
     n = len(dataset)
     for step in range(cfg.steps):
@@ -370,7 +378,8 @@ def reference_train(model, dataset, cfg):
         losses.append(loss)
         norms.append(adapter_grad_norm(grads))
         lrs.append(lr_t)
-        adamw_step(state, params, grads, lr_t, cfg)
+        for key, p in params.items():
+            adamw_step(states[key], p, grads[key], lr_t)
     return losses, norms, lrs
 
 
@@ -388,12 +397,11 @@ class TestTrainingMatchesReferenceLoop:
     """train_model takes x base1 once per run and makes one AdamW update on a
     flat buffer per step; both must leave every bit as a plain loop does."""
 
-    @pytest.mark.parametrize("batch_size,weight_decay", [(16, 0.0), (1000, 0.1)])
+    @pytest.mark.parametrize("batch_size", [16, 1000])
     @pytest.mark.parametrize("strategy", ["pissa", "qpissa", "lora"])
-    def test_finetune(self, strategy, batch_size, weight_decay):
+    def test_finetune(self, strategy, batch_size):
         model, data = toy_model(4, d=12, h=16, c=4), toy_dataset(4, n=60, d=12)
-        cfg = TrainConfig(lr=1e-2, batch_size=batch_size, steps=25,
-                          weight_decay=weight_decay, seed=3)
+        cfg = TrainConfig(lr=1e-2, batch_size=batch_size, steps=25, seed=3)
         tuned = inject_adapters(model, 3, strategy, RandomSource(cfg.seed))
         ref = inject_adapters(model, 3, strategy, RandomSource(cfg.seed))
         trace = train_model(tuned, data, cfg)
