@@ -62,6 +62,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown init strategy: {', '.join(unknown)}")
         if any(r > min(self.m, self.n) for r in self.ranks):
             raise ValueError("rank exceeds min(m, n)")
+        for name, low in (("ranks", 1), ("iters", 1), ("niters", 0), ("adapter_rank", 1)):
+            if np.min(getattr(self, name), initial=low) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         # TrainConfig's checks on the fine-tune settings, before any pretraining.
         TrainConfig(lr=self.lr, batch_size=self.batch_size, steps=self.steps)
 

@@ -1,7 +1,7 @@
 """4-bit NormalFloat block quantization and quantized adapter initializers.
 
-The 16-level codebook is built from standard-normal quantiles and applied
-block-wise with absmax scaling. On top of it sit the three quantized
+The 16-level codebook is a fixed table of standard-normal quantiles,
+applied block-wise with absmax scaling. On top of it sit the three quantized
 initializers (direct quantization with a zero adapter, alternating
 error-matrix SVD, and principal-component extraction before quantization)
 plus the nuclear-norm error metrics used to compare them.
@@ -14,14 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import adapter
 from .linalg import (RandomSource, as_matrix, frobenius_norm, leading_svd,
                      nuclear_norm)
-
-# Quantile range endpoint: 1 - (1/32 + 1/30)/2, the NormalFloat lineage default.
-_QUANTILE_OFFSET = 1.0 - (1.0 / 32 + 1.0 / 30) / 2
 
 
 @dataclass(frozen=True)
@@ -31,23 +27,25 @@ class Nf4Codebook:
     levels: tuple
 
 
-def build_nf4_codebook() -> Nf4Codebook:
-    """Build the 16-level NormalFloat codebook from standard-normal quantiles.
+# NormalFloat levels (QLoRA): standard-normal quantiles at 8 (negative side)
+# and 9 evenly spaced probabilities from 0.5 to 1 - (1/32 + 1/30)/2, zero
+# shared, over the largest. Tests re-derive these bits from scipy's ppf.
+_NF4_TABLE = (
+    -1.0, -0.696192805632343, -0.5250729594465005, -0.3949174259199071,
+    -0.28444130892108205, -0.1847734028004556, -0.09104997598578049, 0.0,
+    0.07958031495840909, 0.1609301443802907, 0.2461122513474594,
+    0.3379151367131279, 0.44070973186421625, 0.5626168879699849,
+    0.7229566441594734, 1.0)
 
-    Eight evenly spaced quantiles cover the negative side and nine the
-    non-negative side (both including zero, deduplicated); dividing by the
-    largest magnitude pins the endpoints at exactly -1 and 1.
-    """
-    pos = stats.norm.ppf(np.linspace(0.5, _QUANTILE_OFFSET, 9))
-    neg = -stats.norm.ppf(np.linspace(_QUANTILE_OFFSET, 0.5, 8))
-    levels = np.concatenate([neg[:-1], pos]) / pos[-1]
-    levels[len(neg) - 1] = 0.0  # exact zero (ppf(0.5) may be -0.0)
-    return Nf4Codebook(tuple(levels.tolist()))
+
+def build_nf4_codebook() -> Nf4Codebook:
+    """The 16-level NormalFloat codebook."""
+    return Nf4Codebook(_NF4_TABLE)
 
 
 # The one codebook every quantized matrix is coded in; PSQ4 files store
 # codes and scales only, so a second codebook could not be reloaded.
-NF4_LEVELS = np.asarray(build_nf4_codebook().levels)
+NF4_LEVELS = np.asarray(_NF4_TABLE)
 NF4_LEVELS.flags.writeable = False
 
 
@@ -76,13 +74,9 @@ class QuantizedMatrix:
         return (self.rows, self.cols)
 
     def unpacked_codes(self) -> np.ndarray:
-        total = self.rows * self.cols
-        lo = self.codes & 0x0F
-        hi = self.codes >> 4
         flat = np.empty(self.codes.size * 2, dtype=np.uint8)
-        flat[0::2] = lo
-        flat[1::2] = hi
-        return flat[:total]
+        flat[0::2], flat[1::2] = self.codes & 0x0F, self.codes >> 4
+        return flat[:self.rows * self.cols]
 
 
 def _pack(codes: np.ndarray) -> np.ndarray:
@@ -103,12 +97,11 @@ def quantize(m: np.ndarray, cfg: QuantConfig = QuantConfig()) -> QuantizedMatrix
     flat = m.ravel()
     bs = cfg.block_size
     nblocks = math.ceil(flat.size / bs)
-    # Zero padding leaves each block's absmax, and so its scale, unchanged.
-    # A matrix smaller than one block is that block, unpadded.
+    # Whole blocks are a view of the input; a ragged last block is zero-padded
+    # into a copy, which keeps its absmax. A matrix under one block is that block.
     width = min(bs, flat.size)
-    blocks = np.zeros(nblocks * width)
-    blocks[:flat.size] = flat
-    blocks = blocks.reshape(nblocks, width)
+    pad = nblocks * width - flat.size
+    blocks = (np.pad(flat, (0, pad)) if pad else flat).reshape(nblocks, width)
     scales = np.abs(blocks).max(axis=1, initial=0.0)
     # A zero block divides by 1, which maps it onto the zero level.
     x = blocks / np.where(scales == 0.0, 1.0, scales)[:, None]
@@ -283,11 +276,18 @@ def distribution_diagnostics(m: np.ndarray) -> tuple[float, float]:
     centered = x - np.mean(x)
     best_dof, best_ll = math.inf, -math.inf
     for dof in _DOF_GRID:
-        if dof is math.inf:
-            ll = float(np.sum(stats.norm.logpdf(centered, scale=std)))
-        else:
-            scale = std * math.sqrt((dof - 2) / dof) if dof > 2 else std
-            ll = float(np.sum(stats.t.logpdf(centered, df=dof, scale=scale)))
+        ll = _log_likelihood(centered, std, dof)
         if ll > best_ll:
             best_ll, best_dof = ll, dof
     return std, float(best_dof)
+
+
+def _log_likelihood(centered: np.ndarray, std: float, dof: float) -> float:
+    """Summed zero-mean Student-t log-density (Gaussian at dof infinity)."""
+    scale = std * math.sqrt((dof - 2) / dof) if 2 < dof < math.inf else std
+    z2 = (centered / scale) ** 2
+    if dof == math.inf:
+        return float(np.sum(-z2 / 2 - math.log(math.sqrt(2 * math.pi)) - math.log(scale)))
+    c = (math.lgamma((dof + 1) / 2) - math.lgamma(dof / 2)
+         - 0.5 * math.log(dof * math.pi) - math.log(scale))
+    return float(np.sum(c - (dof + 1) / 2 * np.log1p(z2 / dof)))

@@ -262,12 +262,8 @@ def _pack_trainable(model: MlpModel) -> tuple[np.ndarray, tuple[str, ...]]:
 
 def adapter_grad_norm(grads: dict) -> float:
     """Global L2 norm over adapter (or full-weight) gradients, biases excluded."""
-    total = 0.0
-    for key, g in grads.items():
-        if key.startswith("bias"):
-            continue
-        total += float(np.sum(np.square(g)))
-    return math.sqrt(total)
+    return math.sqrt(sum(float(np.sum(np.square(g))) for key, g in grads.items()
+                         if not key.startswith("bias")))
 
 
 def train_model(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> TrainTrace:

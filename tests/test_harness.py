@@ -1,12 +1,21 @@
 import csv
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
+import tempfile
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pissa
 from pissa.adapter import lora_init, merge, pissa_init
 from pissa.harness.cli import main
 from pissa.harness.data import (DATA_VERSION, generate_cluster_dataset,
@@ -139,6 +148,64 @@ class TestMatrixFiles:
         save_quantized(tmp_path / "m.psq4", q)
         with pytest.raises(FileFormatError, match="non-finite block scale"):
             load_quantized(tmp_path / "m.psq4")
+
+
+def _written_bytes(save, obj) -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        save(Path(d) / "f", obj)
+        return (Path(d) / "f").read_bytes()
+
+
+def _mangled(payload: bytes):
+    """Truncations, bit flips, random bytes, and random bytes or a random
+    version field behind the magic."""
+    def flip(bits):
+        raw = bytearray(payload)
+        for bit in bits:
+            raw[bit // 8] ^= 1 << (bit % 8)
+        return bytes(raw)
+
+    return st.one_of(
+        st.integers(0, len(payload) - 1).map(lambda i: payload[:i]),
+        st.lists(st.integers(0, 8 * len(payload) - 1), min_size=1,
+                 max_size=4).map(flip),
+        st.binary(max_size=2 * len(payload)),
+        st.binary(max_size=2 * len(payload)).map(lambda b: payload[:4] + b),
+        st.binary(min_size=4, max_size=4).map(lambda b: payload[:4] + b + payload[8:]),
+    )
+
+
+def _load_or_format_error(load, data: bytes):
+    """Load data from a file; None where the loader raises FileFormatError."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "f"
+        path.write_bytes(data)
+        try:
+            return load(path)
+        except FileFormatError:
+            return None
+
+
+_PSSA = _written_bytes(save_matrix, RandomSource(0).normal((3, 5)))
+_PSQ4 = _written_bytes(save_quantized, quantize(RandomSource(1).normal((3, 5)),
+                                                QuantConfig(block_size=4)))
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_mangled(_PSSA))
+    def test_matrix_loader_raises_only_file_format_error(self, data):
+        m = _load_or_format_error(load_matrix, data)
+        if m is not None:
+            assert m.ndim == 2 and np.isfinite(m).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mangled(_PSQ4))
+    def test_quantized_loader_raises_only_file_format_error(self, data):
+        q = _load_or_format_error(load_quantized, data)
+        if q is not None:
+            values = dequantize(q)
+            assert values.shape == (q.rows, q.cols) and np.isfinite(values).all()
 
 
 class TestAdapterCheckpoints:
@@ -334,6 +401,24 @@ class TestExperiments:
                      "--out", str(tmp_path / "conv.csv")])
         assert code == 2
         assert "ValueError: steps" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, field", [
+        (["quant-bench", "--ranks", "0"], "ranks"),
+        (["quant-bench", "--T", "0"], "iters"),
+        (["fastsvd-bench", "--niter", "-1"], "niters"),
+        (["converge", "--adapter-rank", "0"], "adapter_rank"),
+    ])
+    def test_bad_rank_or_count_rejected_before_any_work(
+            self, tmp_path, capsys, monkeypatch, argv, field):
+        def no_work(*args, **kw):
+            raise AssertionError("work started before the spec was checked")
+
+        for name in ("pretrain_mlp", "generate_spectral_matrix"):
+            monkeypatch.setattr(f"pissa.harness.experiments.{name}", no_work)
+        code = main(argv + ["--seeds", "0", "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert f"ValueError: {field} must be" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_config_hash_stable_and_sensitive(self, tmp_path):
@@ -619,3 +704,25 @@ class TestCli:
                      "--rank", "2", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+def test_cli_runs_without_loading_scipy(tmp_path):
+    # A fresh interpreter: this one has scipy loaded by the oracle tests.
+    script = textwrap.dedent("""
+        import sys
+        import pissa
+        from pissa.harness import cli
+        out = sys.argv[1]
+        assert cli.main(["quant-bench", "--m", "32", "--n", "32", "--ranks", "4",
+                         "--T", "1,2", "--seeds", "0", "--out", out + "/q.csv"]) == 0
+        assert cli.main(["converge", "--seeds", "0", "--steps", "3",
+                         "--strategies", "pissa,qpissa", "--out", out + "/c.csv"]) == 0
+        print(sorted(k for k in sys.modules if k.split(".")[0] == "scipy"))
+    """)
+    src = str(Path(pissa.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

@@ -56,6 +56,15 @@ class TestCodebook:
 
 
 class TestQuantizeDequantize:
+    @pytest.mark.parametrize("shape", [(8, 16), (5, 7)], ids=["tiled", "ragged"])
+    def test_input_is_never_written(self, shape):
+        # Whole blocks are a view of the input, so a write would reach it.
+        w = RandomSource(4).normal(shape)
+        before = w.copy()
+        w.flags.writeable = False
+        quantize(w, QuantConfig(block_size=16))
+        assert np.array_equal(w, before)
+
     def test_zero_matrix(self):
         q = quantize(np.zeros((8, 8)))
         assert (q.scales == 0.0).all()
@@ -468,3 +477,33 @@ class TestDistributionDiagnostics:
     def test_too_small(self):
         with pytest.raises(ValueError):
             distribution_diagnostics(np.ones((1, 1)))
+
+
+def _scipy_log_likelihoods(centered, std):
+    """Each grid dof's summed log-density, scored by scipy.stats."""
+    out = {}
+    for dof in quant._DOF_GRID:
+        if dof == math.inf:
+            out[dof] = float(np.sum(stats.norm.logpdf(centered, scale=std)))
+        else:
+            scale = std * math.sqrt((dof - 2) / dof) if dof > 2 else std
+            out[dof] = float(np.sum(stats.t.logpdf(centered, df=dof, scale=scale)))
+    return out
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: RandomSource(0).normal((60, 50)),
+    lambda: RandomSource(3).generator().standard_t(3, size=(60, 50)),
+    lambda: pissa_init(generate_spectral_matrix(64, 48, 1.0, 2), 8).base,
+], ids=["gaussian", "student_t3", "pissa_residual"])
+def test_log_likelihood_matches_scipy(draw):
+    m = draw()
+    x = m.ravel()
+    std = float(np.std(x, ddof=1))
+    centered = x - np.mean(x)
+    expected = _scipy_log_likelihoods(centered, std)
+    for dof, ll in expected.items():
+        assert quant._log_likelihood(centered, std, dof) == pytest.approx(ll, rel=1e-12)
+    # The first grid dof with the largest scipy likelihood, as a strict scan picks.
+    best = max(quant._DOF_GRID, key=expected.get)
+    assert distribution_diagnostics(m) == (std, float(best))
