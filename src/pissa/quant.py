@@ -113,8 +113,9 @@ def quantize(m: np.ndarray, cfg: QuantConfig = QuantConfig()) -> QuantizedMatrix
         lo += x >= level
     # Any level outside the bracket is farther by at least one level gap,
     # so the strict comparison reproduces argmin's tie rule exactly.
-    # Comparing x with precomputed midpoints would not.
-    codes = lo + (np.abs(x - NF4_LEVELS[lo + 1]) < np.abs(x - NF4_LEVELS[lo]))
+    # Comparing x with precomputed midpoints would not. The bracket fixes
+    # both distances' signs, and fl(a - x) = -fl(x - a), so no abs is needed.
+    codes = lo + (NF4_LEVELS[lo + 1] - x < x - NF4_LEVELS[lo])
     codes = codes.ravel()[:flat.size]
     return QuantizedMatrix(m.shape[0], m.shape[1], bs, _pack(codes), scales)
 

@@ -1,6 +1,9 @@
+import ctypes
+
 import numpy as np
 import pytest
 
+from pissa import linalg
 from pissa.harness.data import generate_spectral_matrix
 from pissa.linalg import (NumericalError, RandomSource, ShapeError, as_matrix,
                           exact_svd, frobenius_norm, leading_svd, nuclear_norm,
@@ -136,10 +139,16 @@ LEADING_CASES = {
 }
 
 
+def _leading_or_error(w, r):
+    try:
+        return leading_svd(w, r)
+    except Exception as exc:  # compared by type across the two basis paths
+        return exc
+
+
 class TestLeadingSvd:
-    @pytest.mark.parametrize("case", LEADING_CASES)
-    def test_matches_truncated_exact_svd(self, case):
-        w, r = LEADING_CASES[case]
+    @staticmethod
+    def check_matches_truncated_exact_svd(w, r):
         f, ref = leading_svd(w, r), exact_svd(w).truncate(r)
         assert f.u.shape == ref.u.shape and f.v.shape == ref.v.shape
         tol = 1e-12 * max(1.0, ref.s[0])
@@ -157,22 +166,85 @@ class TestLeadingSvd:
         idx = np.argmax(np.abs(f.u), axis=0)
         assert (f.u[idx, np.arange(r)] >= 0).all()
 
+    @pytest.mark.parametrize("case", LEADING_CASES)
+    def test_matches_truncated_exact_svd(self, case, monkeypatch):
+        # The basis comes from dsyevr where numpy's LAPACK exports it, so
+        # numpy's eigh must not be reached there.
+        if linalg._DSYEVR is not None:
+            def no_eigh(g):
+                raise AssertionError("eigh called although dsyevr is bound")
+            monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        self.check_matches_truncated_exact_svd(*LEADING_CASES[case])
+
+    @pytest.mark.parametrize("case", LEADING_CASES)
+    def test_eigh_fallback_matches_truncated_exact_svd(self, case, monkeypatch):
+        monkeypatch.setattr(linalg, "_DSYEVR", None)
+        self.check_matches_truncated_exact_svd(*LEADING_CASES[case])
+
     def test_deterministic(self):
         w = generate_spectral_matrix(48, 32, 1.0, 7)
         a, b = leading_svd(w, 8), leading_svd(w, 8)
         for x, y in ((a.u, b.u), (a.s, b.s), (a.v, b.v)):
             assert np.array_equal(x, y)
 
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("info,short", [(1, 0), (0, 1)])
+    def test_failed_dsyevr_falls_back_to_eigh_on_intact_gram(
+            self, monkeypatch, wide, info, short):
+        # A failed call (info != 0, or fewer than r values) may have
+        # overwritten the Gram matrix, as LAPACK does: the fallback must
+        # give eigh's basis of the Gram itself, bit for bit.
+        w = generate_spectral_matrix(30, 20, 1.0, 8)
+        w = w.T if wide else w
+        monkeypatch.setattr(linalg, "_DSYEVR", None)
+        ref = leading_svd(w, 5)
+        calls = []
+
+        def failing(layout, jobz, rng, uplo, n, a, lda, vl, vu, il, iu,
+                    abstol, found, *rest):
+            calls.append((n, il, iu))
+            ctypes.memset(a, 0, n * n * 8)
+            found.value = iu - il + 1 - short
+            return info
+
+        monkeypatch.setattr(linalg, "_DSYEVR", failing)
+        f = leading_svd(w, 5)
+        assert calls == [(20, 16, 20)]
+        for x, y in ((f.u, ref.u), (f.s, ref.s), (f.v, ref.v)):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e-160, 1e-170, 1e300])
+    @pytest.mark.parametrize("shape", [(32, 32), (4, 4)], ids=["spectral", "ones"])
+    def test_extreme_scales_match_eigh_path(self, monkeypatch, scale, shape):
+        # Out of the Gram product's range dsyevr must neither crash nor
+        # differ from the eigh path: the same exception type, or the same
+        # triplets up to rounding. A 4x4 matrix of ones makes eigh raise
+        # LinAlgError on its overflowed Gram at 1e160 and 1e300.
+        w = scale * (generate_spectral_matrix(32, 32, 1.0, 0)
+                     if shape == (32, 32) else np.ones(shape))
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            got = _leading_or_error(w, 4)
+            monkeypatch.setattr(linalg, "_DSYEVR", None)
+            ref = _leading_or_error(w, 4)
+        if isinstance(ref, Exception):
+            assert type(got) is type(ref)
+            return
+        assert not isinstance(got, Exception)
+        tol = 1e-12 * ref.s[0]
+        np.testing.assert_allclose(got.s, ref.s, rtol=1e-12, atol=tol)
+        np.testing.assert_allclose(got.reconstruct(), ref.reconstruct(),
+                                   rtol=0, atol=tol)
+
     def test_bad_basis_falls_back_to_exact_svd(self, monkeypatch):
         w = generate_spectral_matrix(30, 20, 1.0, 8)
         ref = exact_svd(w).truncate(5)
 
-        def bad_eigh(g):
+        def bad_basis(t, r):
             # An orthonormal basis that spans no invariant subspace.
-            q, _ = np.linalg.qr(RandomSource(0).normal(g.shape))
-            return np.zeros(g.shape[0]), q
+            q, _ = np.linalg.qr(RandomSource(0).normal((t.shape[1], r)))
+            return q
 
-        monkeypatch.setattr(np.linalg, "eigh", bad_eigh)
+        monkeypatch.setattr(linalg, "_gram_basis", bad_basis)
         f = leading_svd(w, 5)
         for x, y in ((f.u, ref.u), (f.s, ref.s), (f.v, ref.v)):
             assert np.array_equal(x, y)
