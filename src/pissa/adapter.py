@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (RandomSource, ShapeError, SvdFactors, as_matrix, exact_svd,
-                     frobenius_norm, leading_svd)
+from .linalg import (RandomSource, ShapeError, SvdFactors, _check_rank, as_matrix,
+                     exact_svd, leading_svd, relative_error)
 
 
 @dataclass
@@ -74,11 +74,6 @@ def dense_base(layer: DecomposedLayer) -> np.ndarray:
         return layer.base
     from .quant import dequantize
     return dequantize(layer.base)
-
-
-def _check_rank(w: np.ndarray, r: int) -> None:
-    if not 1 <= r <= min(w.shape):
-        raise ValueError(f"rank {r} out of range for matrix of shape {w.shape}")
 
 
 def _split(f: SvdFactors, lo: int, hi: int) -> AdapterPair:
@@ -204,4 +199,4 @@ def reconstruction_error(w: np.ndarray, layer: DecomposedLayer) -> float:
     w = as_matrix(w)
     if w.shape != layer.shape:
         raise ShapeError(f"shape mismatch {w.shape} vs {layer.shape}")
-    return frobenius_norm(w - merge(layer)) / max(1.0, frobenius_norm(w))
+    return relative_error(w - merge(layer), w)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from ..adapter import (forward, merge, pissa_init, reconstruction_error,
                        to_lora_delta)
-from ..linalg import RandomSource, frobenius_norm
+from ..linalg import TOLERANCE, RandomSource, relative_error
 from .experiments import KINDS, ExperimentSpec, run_experiment
 from .matrix_io import load_adapter_dir, load_matrix, save_adapter_dir, save_matrix
 
@@ -48,7 +48,7 @@ def _cmd_decompose(args) -> int:
     save_adapter_dir(args.out, layer)
     err = reconstruction_error(w, layer)
     print(f"decompose rank={args.rank} reconstruction_error={err:.3e}")
-    return 0 if err <= 1e-10 else 1
+    return 0 if err <= TOLERANCE else 1
 
 
 def _cmd_convert_lora(args) -> int:
@@ -65,9 +65,9 @@ def _cmd_convert_lora(args) -> int:
     probe = RandomSource(0).normal((4, m))
     lhs = probe @ (merge(init) + trained.adapter.scale * (delta_a @ delta_b))
     rhs = forward(trained, probe)
-    err = frobenius_norm(lhs - rhs) / max(1.0, frobenius_norm(rhs))
+    err = relative_error(lhs - rhs, rhs)
     print(f"convert-lora delta_rank={2 * init.adapter.rank} probe_error={err:.3e}")
-    return 0 if err <= 1e-10 else 1
+    return 0 if err <= TOLERANCE else 1
 
 
 class _SubcommandParser(argparse.ArgumentParser):

@@ -15,6 +15,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -113,7 +114,7 @@ def matrix_seed(seed: int) -> int:
     return RandomSource(seed).spawn(0).seed
 
 
-def _rows_quant_bench(spec: ExperimentSpec) -> list[dict]:
+def _rows_quant_bench(spec: ExperimentSpec) -> Iterator[dict]:
     cfg = QuantConfig(block_size=spec.block_size)
     # Method -> initializer(w, rank, T, seed), called inside its own row so
     # that a failing initializer costs only its rows.
@@ -123,7 +124,6 @@ def _rows_quant_bench(spec: ExperimentSpec) -> list[dict]:
     variants = [("qlora", spec.ranks[0], 1)] + [
         (method, rank, t) for rank in spec.ranks for t in spec.iters
         for method in ("loftq", "qpissa")]
-    rows = []
     for seed in spec.seeds:
         w = generate_spectral_matrix(spec.m, spec.n, spec.alpha,
                                      matrix_seed(seed))
@@ -136,12 +136,10 @@ def _rows_quant_bench(spec: ExperimentSpec) -> list[dict]:
                 row |= {"nuclear_err": rep.nuclear_error,
                         "frob_err": rep.frobenius_error,
                         "ratio_percent": rep.reduction_ratio_percent}
-            rows.append(row)
-    return rows
+            yield row
 
 
-def _rows_fastsvd(spec: ExperimentSpec) -> list[dict]:
-    rows = []
+def _rows_fastsvd(spec: ExperimentSpec) -> Iterator[dict]:
     for seed in spec.seeds:
         w = generate_spectral_matrix(spec.m, spec.n, spec.alpha,
                                      matrix_seed(seed))
@@ -163,8 +161,7 @@ def _rows_fastsvd(spec: ExperimentSpec) -> list[dict]:
                         "sv_rel_err": float(np.max(
                             np.abs(fast.s - trunc.s) / trunc.s)),
                     }
-                rows.append(row)
-    return rows
+                yield row
 
 
 def toy_pretrained(spec: ExperimentSpec, seed: int) -> tuple[MlpModel, Dataset]:
@@ -179,8 +176,7 @@ def toy_pretrained(spec: ExperimentSpec, seed: int) -> tuple[MlpModel, Dataset]:
     return model, dataset.subset(fine_mask)
 
 
-def _rows_converge(spec: ExperimentSpec) -> list[dict]:
-    rows = []
+def _rows_converge(spec: ExperimentSpec) -> Iterator[dict]:
     out = Path(spec.out)
     for seed in spec.seeds:
         model, fine = toy_pretrained(spec, seed)
@@ -198,12 +194,10 @@ def _rows_converge(spec: ExperimentSpec) -> list[dict]:
                 values = zip(range(len(trace)), trace.losses, trace.grad_norms, trace.lrs)
                 _write_csv(out.parent / row["trace_file"], TRACE_COLUMNS,
                            [dict(zip(TRACE_COLUMNS, v)) for v in values])
-            rows.append(row)
-    return rows
+            yield row
 
 
-def _rows_gradcheck(spec: ExperimentSpec) -> list[dict]:
-    rows = []
+def _rows_gradcheck(spec: ExperimentSpec) -> Iterator[dict]:
     for seed in spec.seeds:
         rng = RandomSource(matrix_seed(seed))
         d, h, c, r = 6, 5, 4, 2
@@ -218,8 +212,7 @@ def _rows_gradcheck(spec: ExperimentSpec) -> list[dict]:
             with _recording_failure(row):
                 tuned = inject_adapters(model, r, strategy, rng.spawn(4))
                 row["max_rel_err"] = gradcheck(tuned, x, labels)
-            rows.append(row)
-    return rows
+            yield row
 
 
 # Report kind -> (row builder, the ExperimentSpec fields it reads that the CLI
@@ -238,7 +231,7 @@ KINDS = {
 
 def run_experiment(spec: ExperimentSpec) -> list[dict]:
     """Run one experiment, write its report, and return the rows."""
-    rows = KINDS[spec.kind][0](spec)
+    rows = list(KINDS[spec.kind][0](spec))
     header = {"config": asdict(spec), "config_hash": spec.config_hash(),
               "generator": PRNG_NAME, "data_version": DATA_VERSION}
     _write_csv(spec.out, sorted({k for row in rows for k in row}), rows,

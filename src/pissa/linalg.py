@@ -89,6 +89,22 @@ def frobenius_norm(m: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.square(m))))
 
 
+# The reconstruction contract: a factorization (or split) of ref is exact
+# when relative_error(its residual, ref) <= TOLERANCE.
+TOLERANCE = 1e-10
+
+
+def relative_error(diff: np.ndarray, ref: np.ndarray) -> float:
+    """||diff||_F / max(1, ||ref||_F): relative to ref, absolute once
+    ||ref||_F < 1, and defined at ref = 0."""
+    return frobenius_norm(diff) / max(1.0, frobenius_norm(ref))
+
+
+def _check_rank(w: np.ndarray, r: int) -> None:
+    if not 1 <= r <= min(w.shape):
+        raise ValueError(f"rank {r} out of range for matrix of shape {w.shape}")
+
+
 def nuclear_norm(m: np.ndarray) -> float:
     """Sum of singular values (trace norm).
 
@@ -121,21 +137,21 @@ def _signed_factors(w: np.ndarray, u, s, vt) -> tuple[SvdFactors, float]:
     factors = SvdFactors(u, s, v)
     resid = factors.reconstruct()
     resid -= w
-    return factors, frobenius_norm(resid) / max(1.0, frobenius_norm(w))
+    return factors, relative_error(resid, w)
 
 
 def exact_svd(w: np.ndarray) -> SvdFactors:
     """Economy SVD with descending singular values and a fixed sign convention.
 
-    Reconstruction is accurate to 1e-10 relative; failure to meet that
-    raises NumericalError with the achieved residual.
+    The reconstruction residual's relative_error is within TOLERANCE
+    (1e-10); a miss raises NumericalError with the achieved residual.
     """
     w = as_matrix(w)
     try:
         factors, resid = _signed_factors(w, *np.linalg.svd(w, full_matrices=False))
     except np.linalg.LinAlgError:
         resid = np.inf
-    if resid > 1e-10:
+    if resid > TOLERANCE:
         # gesdd occasionally fails, or misses the contract, on near-degenerate
         # spectra; the slower Jacobi-free gesvd driver is far more robust.
         from scipy import linalg as sla
@@ -144,8 +160,9 @@ def exact_svd(w: np.ndarray) -> SvdFactors:
                 w, *sla.svd(w, full_matrices=False, lapack_driver="gesvd"))
         except sla.LinAlgError as exc:
             raise NumericalError(f"SVD did not converge: {exc}") from exc
-        if resid > 1e-10:
-            raise NumericalError(f"SVD reconstruction residual {resid:.3e} exceeds 1e-10")
+        if resid > TOLERANCE:
+            raise NumericalError(
+                f"SVD reconstruction residual {resid:.3e} exceeds {TOLERANCE:g}")
     return factors
 
 
@@ -215,18 +232,16 @@ def leading_svd(w: np.ndarray, r: int) -> SvdFactors:
     The basis comes from the top r eigenvectors of the Gram matrix of w's
     shorter side (_gram_basis), and one Rayleigh-Ritz step (the exact SVD
     of the tall r-column product) turns it into singular triplets, so no
-    full m x n SVD is taken. Whenever the triplets miss
-    ||w^T u - v s||_F <= 1e-10 ||w||_F (relative, floored at 1 like
-    exact_svd's contract), the exact_svd result is returned instead.
+    full m x n SVD is taken. When relative_error(w^T u - v s, w) exceeds
+    TOLERANCE, the exact_svd result is returned instead.
     """
     w = as_matrix(w)
-    if not 1 <= r <= min(w.shape):
-        raise ValueError(f"rank {r} out of range for {w.shape}")
+    _check_rank(w, r)
     wide = w.shape[0] < w.shape[1]
     t = w.T if wide else w
     f = _ritz(t, _gram_basis(t, r), swap=wide)
-    resid = frobenius_norm(w.T @ f.u - f.v * f.s) / max(1.0, frobenius_norm(w))
-    return exact_svd(w).truncate(r) if resid > 1e-10 else f
+    resid = relative_error(w.T @ f.u - f.v * f.s, w)
+    return exact_svd(w).truncate(r) if resid > TOLERANCE else f
 
 
 def qr_thin(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,12 +271,10 @@ def randomized_svd(w: np.ndarray, r: int, niter: int,
     leading_svd's Ritz step, with no fallback. Deterministic given ``rng``.
     """
     w = as_matrix(w)
-    k_max = min(w.shape)
-    if not 1 <= r <= k_max:
-        raise ValueError(f"rank {r} out of range for {w.shape}")
+    _check_rank(w, r)
     if niter < 0:
         raise ValueError("niter must be non-negative")
-    k = min(k_max, r + _OVERSAMPLE)
+    k = min(*w.shape, r + _OVERSAMPLE)
     omega = rng.normal((w.shape[1], k))
     q, _ = qr_thin(w @ omega)
     for _ in range(niter):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adapter
-from .linalg import (RandomSource, as_matrix, frobenius_norm, leading_svd,
-                     nuclear_norm)
+from .linalg import (RandomSource, _check_rank, as_matrix, frobenius_norm,
+                     leading_svd, nuclear_norm)
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def qlora_init(w: np.ndarray, r: int, rng: RandomSource,
                cfg: QuantConfig = QuantConfig()):
     """Quantize the base directly; Gaussian A, zero B (the zero-adapter baseline)."""
     w = as_matrix(w)
-    adapter._check_rank(w, r)
+    _check_rank(w, r)
     return adapter.DecomposedLayer(base=quantize(w, cfg),
                                    adapter=adapter._gaussian_zero(w.shape, r, rng),
                                    origin="qlora")
@@ -167,7 +167,7 @@ def _alternating_init(w: np.ndarray, r: int, T: int, cfg: QuantConfig,
     quantizing w and ends on a fit; otherwise (QPiSSA) the first fit is to w.
     """
     w = as_matrix(w)
-    adapter._check_rank(w, r)
+    _check_rank(w, r)
     if T < 1:
         raise ValueError("T must be >= 1")
     base = quantize(w, cfg) if quantize_first else None
@@ -218,43 +218,32 @@ def _baseline_error(w: np.ndarray, cfg: QuantConfig) -> float:
     return _baseline_memo[1]
 
 
-def _reduction_percent(w: np.ndarray, err: float, cfg: QuantConfig) -> float:
-    denom = _baseline_error(w, cfg)
-    if denom == 0.0:
-        raise ZeroDivisionError("direct quantization error is zero; ratio undefined")
-    return (1.0 - err / denom) * 100.0
-
-
-def error_reduction_ratio(w: np.ndarray, layer, cfg: QuantConfig = QuantConfig()) -> float:
-    """Percentage decrease in nuclear quantization error vs direct quantization.
-
-    Positive means the layer's base+adapter beats quantizing w outright;
-    the zero-adapter baseline yields exactly 0.
-    """
-    return _reduction_percent(w, nuclear_norm(w - adapter.merge(layer)), cfg)
-
-
 @dataclass
 class QuantReport:
     """Error summary for one quantized initialization."""
 
-    method: str
-    rank: int
     nuclear_error: float
     frobenius_error: float
     reduction_ratio_percent: float
 
 
 def quant_report(w: np.ndarray, layer, cfg: QuantConfig = QuantConfig()) -> QuantReport:
+    """Nuclear and Frobenius norms of w minus the merged layer, and the
+    percent drop in nuclear error against quantizing w directly (exactly 0
+    for the zero-adapter baseline). A w that quantizes without error, such
+    as a zero matrix, has no ratio: ZeroDivisionError."""
     err_matrix = w - adapter.merge(layer)
-    nuclear = nuclear_norm(err_matrix)
-    return QuantReport(
-        method=layer.origin,
-        rank=layer.adapter.rank,
-        nuclear_error=nuclear,
-        frobenius_error=frobenius_norm(err_matrix),
-        reduction_ratio_percent=_reduction_percent(w, nuclear, cfg),
-    )
+    nuclear, frobenius = nuclear_norm(err_matrix), frobenius_norm(err_matrix)
+    baseline = _baseline_error(w, cfg)
+    if baseline == 0.0:
+        raise ZeroDivisionError("direct quantization error is zero; ratio undefined")
+    return QuantReport(nuclear, frobenius, (1.0 - nuclear / baseline) * 100.0)
+
+
+def error_reduction_ratio(w: np.ndarray, layer, cfg: QuantConfig = QuantConfig()) -> float:
+    """quant_report's reduction_ratio_percent; ZeroDivisionError for a w
+    that quantizes without error, such as a zero matrix."""
+    return quant_report(w, layer, cfg).reduction_ratio_percent
 
 
 _DOF_GRID = tuple(range(1, 31)) + (math.inf,)

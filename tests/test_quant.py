@@ -356,12 +356,17 @@ class TestErrorReductionRatio:
         with pytest.raises(ZeroDivisionError):
             error_reduction_ratio(w, layer)
 
-    def test_report_ratio_matches_standalone_ratio(self):
+    @pytest.mark.parametrize("method", ["qlora", "loftq", "qpissa"])
+    def test_report_ratio_matches_standalone_ratio(self, method):
         cfg = QuantConfig()
         w = generate_spectral_matrix(32, 32, 1.0, 5)
-        layer = loftq_init(w, 4, 2, cfg)
+        layer = {"qlora": lambda: qlora_init(w, 4, RandomSource(0), cfg),
+                 "loftq": lambda: loftq_init(w, 4, 2, cfg),
+                 "qpissa": lambda: qpissa_init(w, 4, 2, cfg)}[method]()
         rep = quant_report(w, layer, cfg)
-        assert rep.reduction_ratio_percent == error_reduction_ratio(w, layer, cfg)
+        # Bit for bit: float.hex also tells 0.0 from -0.0.
+        assert (rep.reduction_ratio_percent.hex()
+                == error_reduction_ratio(w, layer, cfg).hex())
         assert rep.nuclear_error == nuclear_norm(w - merge(layer))
 
     @pytest.mark.parametrize("seed", RANK_DEFICIENT_SEEDS)
