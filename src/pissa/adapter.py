@@ -194,9 +194,15 @@ def to_lora_delta(initial: AdapterPair,
     return delta_a, delta_b
 
 
-def reconstruction_error(w: np.ndarray, layer: DecomposedLayer) -> float:
-    """Relative Frobenius distance between w and the merged layer."""
+def _layer_matrix(w, layer: DecomposedLayer) -> np.ndarray:
+    """w as a matrix; ShapeError unless w - merge(layer) needs no broadcast."""
     w = as_matrix(w)
     if w.shape != layer.shape:
         raise ShapeError(f"shape mismatch {w.shape} vs {layer.shape}")
+    return w
+
+
+def reconstruction_error(w: np.ndarray, layer: DecomposedLayer) -> float:
+    """Relative Frobenius distance between w and the merged layer."""
+    w = _layer_matrix(w, layer)
     return relative_error(w - merge(layer), w)

@@ -70,10 +70,11 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_quantized(path, q: QuantizedMatrix) -> None:
-    header = QUANT_MAGIC + struct.pack(
-        "<IIII", FORMAT_VERSION, q.rows, q.cols, q.block_size)
+    codes = np.append(q.codes.ravel(), np.zeros(q.codes.size % 2, np.uint8))
+    header = QUANT_MAGIC + struct.pack("<IIII", FORMAT_VERSION, *q.shape,
+                                       q.block_size)
     _atomic_write(path, header + q.scales.astype("<f8").tobytes()
-                  + q.codes.tobytes())
+                  + (codes[0::2] | codes[1::2] << 4).tobytes())
 
 
 def load_quantized(path) -> QuantizedMatrix:
@@ -92,11 +93,13 @@ def load_quantized(path) -> QuantizedMatrix:
         raise FileFormatError(
             f"{path}: expected {expected} bytes, got {len(data)}")
     scales = np.frombuffer(data[20:20 + nblocks * 8], dtype="<f8").copy()
-    codes = np.frombuffer(data[20 + nblocks * 8:], dtype=np.uint8).copy()
+    packed = np.frombuffer(data[20 + nblocks * 8:], dtype=np.uint8)
+    codes = np.stack([packed & 0x0F, packed >> 4], axis=1)
     # A NaN or infinite scale would dequantize to non-finite entries silently.
     if not (np.isfinite(scales) & (scales >= 0)).all():
         raise FileFormatError(f"{path}: negative or non-finite block scale")
-    return QuantizedMatrix(rows, cols, block_size, codes, scales)
+    return QuantizedMatrix(codes.ravel()[:rows * cols].reshape(rows, cols),
+                           scales, block_size)
 
 
 def _is_strategy(origin) -> bool:

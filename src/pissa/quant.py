@@ -60,29 +60,16 @@ class QuantConfig:
 
 @dataclass
 class QuantizedMatrix:
-    """Block-quantized matrix: packed 4-bit indices into NF4_LEVELS plus
-    per-block absmax scales."""
+    """Block-quantized matrix: one index into NF4_LEVELS per entry plus
+    per-block absmax scales over the row-major entries."""
 
-    rows: int
-    cols: int
-    block_size: int
-    codes: np.ndarray    # uint8, two 4-bit codes per byte, low nibble first
+    codes: np.ndarray    # uint8, rows x cols
     scales: np.ndarray   # float64, one per block
+    block_size: int
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-    def unpacked_codes(self) -> np.ndarray:
-        flat = np.empty(self.codes.size * 2, dtype=np.uint8)
-        flat[0::2], flat[1::2] = self.codes & 0x0F, self.codes >> 4
-        return flat[:self.rows * self.cols]
-
-
-def _pack(codes: np.ndarray) -> np.ndarray:
-    if codes.size % 2:
-        codes = np.concatenate([codes, np.zeros(1, dtype=np.uint8)])
-    return (codes[0::2] | (codes[1::2] << 4)).astype(np.uint8)
+        return self.codes.shape
 
 
 def quantize(m: np.ndarray, cfg: QuantConfig = QuantConfig()) -> QuantizedMatrix:
@@ -116,12 +103,11 @@ def quantize(m: np.ndarray, cfg: QuantConfig = QuantConfig()) -> QuantizedMatrix
     # Comparing x with precomputed midpoints would not. The bracket fixes
     # both distances' signs, and fl(a - x) = -fl(x - a), so no abs is needed.
     codes = lo + (NF4_LEVELS[lo + 1] - x < x - NF4_LEVELS[lo])
-    codes = codes.ravel()[:flat.size]
-    return QuantizedMatrix(m.shape[0], m.shape[1], bs, _pack(codes), scales)
+    return QuantizedMatrix(codes.ravel()[:flat.size].reshape(m.shape), scales, bs)
 
 
 def _entry_scales(q: QuantizedMatrix) -> np.ndarray:
-    """Each entry's block scale, flat, in one float per entry.
+    """Each entry's block scale, in one float per entry, rows x cols.
 
     Only the last block can be ragged, so it is repeated just for the
     entries it holds: no padding to whole blocks, however large the block
@@ -129,20 +115,19 @@ def _entry_scales(q: QuantizedMatrix) -> np.ndarray:
     """
     counts = np.full(q.scales.size, q.block_size)
     if counts.size:
-        counts[-1] = q.rows * q.cols - q.block_size * (counts.size - 1)
-    return np.repeat(q.scales, counts)
+        counts[-1] = q.codes.size - q.block_size * (counts.size - 1)
+    return np.repeat(q.scales, counts).reshape(q.shape)
 
 
 def dequantize(q: QuantizedMatrix) -> np.ndarray:
     """Map codes back through the codebook and per-block scales."""
-    values = NF4_LEVELS[q.unpacked_codes()]
-    return (values * _entry_scales(q)).reshape(q.rows, q.cols)
+    return NF4_LEVELS[q.codes] * _entry_scales(q)
 
 
 def quantization_error_bound(q: QuantizedMatrix) -> np.ndarray:
     """Per-entry worst-case rounding error: block scale times half the widest gap."""
     half_gap = np.max(np.diff(NF4_LEVELS)) / 2.0
-    return (_entry_scales(q) * half_gap).reshape(q.rows, q.cols)
+    return _entry_scales(q) * half_gap
 
 
 def qlora_error(w: np.ndarray, cfg: QuantConfig = QuantConfig()) -> float:
@@ -231,7 +216,9 @@ def quant_report(w: np.ndarray, layer, cfg: QuantConfig = QuantConfig()) -> Quan
     """Nuclear and Frobenius norms of w minus the merged layer, and the
     percent drop in nuclear error against quantizing w directly (exactly 0
     for the zero-adapter baseline). A w that quantizes without error, such
-    as a zero matrix, has no ratio: ZeroDivisionError."""
+    as a zero matrix, has no ratio: ZeroDivisionError. A w of another shape
+    than the layer's: ShapeError."""
+    w = adapter._layer_matrix(w, layer)
     err_matrix = w - adapter.merge(layer)
     nuclear, frobenius = nuclear_norm(err_matrix), frobenius_norm(err_matrix)
     baseline = _baseline_error(w, cfg)

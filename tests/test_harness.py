@@ -98,6 +98,18 @@ class TestMatrixFiles:
         assert struct.unpack("<III", raw[4:16]) == (1, 3, 5)
         assert len(raw) == 16 + 3 * 5 * 8
 
+    def test_quantized_bytes_pinned(self, tmp_path):
+        # Nine entries in blocks of 4: scale 1, an all-zero block (scale 0,
+        # zero-level codes 7) and a ragged last block of one entry (scale 3).
+        # Codes 12 0 11 9 7 7 7 7 0 pack two per byte, low nibble first,
+        # with a zero pad nibble after the odd ninth.
+        m = np.array([[0.5, -1.0, 0.3], [0.125, 0.0, 0.0], [0.0, 0.0, -3.0]])
+        save_quantized(tmp_path / "m.psq4", quantize(m, QuantConfig(block_size=4)))
+        assert (tmp_path / "m.psq4").read_bytes() == bytes.fromhex(
+            "50535134" "01000000" "03000000" "03000000" "04000000"
+            "000000000000f03f" "0000000000000000" "0000000000000840"
+            "0c9b777700")
+
     def test_bad_magic(self, tmp_path):
         (tmp_path / "m.pssa").write_bytes(b"JUNKxxxxxxxxxxxxxxxx")
         with pytest.raises(FileFormatError):
@@ -131,7 +143,7 @@ class TestMatrixFiles:
         q = quantize(RandomSource(1).normal((9, 11)), QuantConfig(block_size=16))
         save_quantized(tmp_path / "m.psq4", q)
         loaded = load_quantized(tmp_path / "m.psq4")
-        assert (loaded.rows, loaded.cols, loaded.block_size) == (9, 11, 16)
+        assert (loaded.shape, loaded.block_size) == ((9, 11), 16)
         assert np.array_equal(loaded.codes, q.codes)
         assert np.array_equal(loaded.scales, q.scales)
         assert np.array_equal(dequantize(loaded), dequantize(q))
@@ -205,7 +217,7 @@ class TestLoaderFuzz:
         q = _load_or_format_error(load_quantized, data)
         if q is not None:
             values = dequantize(q)
-            assert values.shape == (q.rows, q.cols) and np.isfinite(values).all()
+            assert values.shape == q.shape and np.isfinite(values).all()
 
 
 class TestAdapterCheckpoints:

@@ -1,5 +1,8 @@
 import math
+import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,9 @@ from scipy import stats
 from pissa import quant
 from pissa.adapter import merge, pissa_init
 from pissa.harness.data import generate_spectral_matrix
-from pissa.linalg import RandomSource, exact_svd, frobenius_norm, nuclear_norm
+from pissa.harness.matrix_io import load_quantized, save_quantized
+from pissa.linalg import (RandomSource, ShapeError, exact_svd, frobenius_norm,
+                          nuclear_norm)
 from pissa.quant import (NF4_LEVELS, QuantConfig, build_nf4_codebook,
                          dequantize, distribution_diagnostics,
                          error_reduction_ratio, loftq_init, qlora_error,
@@ -68,7 +73,7 @@ class TestQuantizeDequantize:
     def test_zero_matrix(self):
         q = quantize(np.zeros((8, 8)))
         assert (q.scales == 0.0).all()
-        assert (q.unpacked_codes() == 7).all()  # index of the zero level
+        assert (q.codes.ravel() == 7).all()  # index of the zero level
         assert np.array_equal(dequantize(q), np.zeros((8, 8)))
 
     def test_empty_matrix(self):
@@ -81,14 +86,14 @@ class TestQuantizeDequantize:
         m = np.array([[1.0, -1.0, 0.0, 0.5]])
         q = quantize(m, cfg)
         expected = [15, 0, 7, int(np.argmin(np.abs(NF4_LEVELS - 0.5)))]
-        assert list(q.unpacked_codes()) == expected
+        assert list(q.codes.ravel()) == expected
         assert q.scales[0] == 1.0
 
     def test_nearest_level_brute_force(self):
         cfg = QuantConfig(block_size=16)
         m = RandomSource(0).normal((6, 8))
         q = quantize(m, cfg)
-        codes = q.unpacked_codes()
+        codes = q.codes.ravel()
         flat = m.ravel()
         for i, x in enumerate(flat):
             scale = q.scales[i // 16]
@@ -99,7 +104,7 @@ class TestQuantizeDequantize:
         levels = np.asarray(build_nf4_codebook().levels)
         midpoint = (levels[7] + levels[8]) / 2  # exactly between 0 and next
         m = np.array([[1.0, midpoint]])
-        codes = quantize(m, QuantConfig(block_size=2)).unpacked_codes()
+        codes = quantize(m, QuantConfig(block_size=2)).codes.ravel()
         assert codes[1] == 7
         # The rounded midpoint of levels j and j+1 is an exact tie for nine
         # pairs (lower index wins) and lies nearer one side for the other
@@ -109,7 +114,7 @@ class TestQuantizeDequantize:
         # The end levels +-1 (x on the bracket's outer edge) code as 15 and 0.
         midpoints = (levels[:-1] + levels[1:]) / 2
         m = np.concatenate([[1.0, -1.0], midpoints])[None, :]
-        codes = quantize(m, QuantConfig(block_size=17)).unpacked_codes()
+        codes = quantize(m, QuantConfig(block_size=17)).codes.ravel()
         assert list(codes[:2]) == [15, 0]
         assert list(codes[2:]) == [0, 1, 2, 4, 5, 5, 6, 7, 8, 10, 10, 11,
                                    13, 13, 14]
@@ -135,8 +140,8 @@ class TestQuantizeDequantize:
                                              ((4, 4), 16), ((1, 5), 64)])
     def test_dequantize_uses_each_entrys_block_scale(self, shape, block):
         q = quantize(RandomSource(4).normal(shape), QuantConfig(block_size=block))
-        scale = q.scales[np.arange(q.rows * q.cols) // block]
-        expected = NF4_LEVELS[q.unpacked_codes()] * scale
+        scale = q.scales[np.arange(q.codes.size) // block]
+        expected = NF4_LEVELS[q.codes.ravel()] * scale
         assert np.array_equal(dequantize(q).ravel(), expected)
         half_gap = np.max(np.diff(NF4_LEVELS)) / 2.0
         assert np.array_equal(quantization_error_bound(q).ravel(), scale * half_gap)
@@ -154,7 +159,7 @@ class TestQuantizeDequantize:
             tracemalloc.stop()
         assert peak < 64 * 1024
         scale = q.scales[0]
-        assert np.array_equal(values.ravel(), NF4_LEVELS[q.unpacked_codes()] * scale)
+        assert np.array_equal(values.ravel(), NF4_LEVELS[q.codes.ravel()] * scale)
         assert (bound == scale * np.max(np.diff(NF4_LEVELS)) / 2.0).all()
 
     @pytest.mark.parametrize("seed", range(10))
@@ -199,9 +204,23 @@ class TestQuantizeMatchesArgminLoop:
     @staticmethod
     def check(flat, shape, bs):
         scales, codes = argmin_quantize(flat, bs, _LEVELS)
-        q = quantize(flat.reshape(shape), QuantConfig(block_size=bs))
+        m = flat.reshape(shape)
+        q = quantize(m, QuantConfig(block_size=bs))
         assert np.array_equal(q.scales, scales)
-        assert np.array_equal(q.unpacked_codes(), codes)
+        assert np.array_equal(q.codes.ravel(), codes)
+        # Within the bound up to rounding: near the widest gap's midpoint an
+        # entry can land past scale * half_gap by a fraction of an ulp of its
+        # block scale when the scale is not a power of two; allow two ulps.
+        half_gap = np.max(np.diff(NF4_LEVELS)) / 2.0
+        bound = quantization_error_bound(q)
+        slack = 2 * np.spacing(bound / half_gap)
+        assert (np.abs(m - dequantize(q)) <= bound + slack).all()
+        with tempfile.TemporaryDirectory() as d:
+            save_quantized(Path(d) / "q.psq4", q)
+            back = load_quantized(Path(d) / "q.psq4")
+        assert np.array_equal(back.codes, q.codes) and back.shape == q.shape
+        assert np.array_equal(back.scales, q.scales)
+        assert back.block_size == q.block_size
 
     @pytest.mark.parametrize("shape", [(1, 67), (67, 1)])
     @pytest.mark.parametrize("bs", [16, 1])
@@ -355,6 +374,23 @@ class TestErrorReductionRatio:
         layer = qlora_init(np.ones((4, 4)), 2, RandomSource(0))
         with pytest.raises(ZeroDivisionError):
             error_reduction_ratio(w, layer)
+
+    @pytest.mark.parametrize("score", [quant_report, error_reduction_ratio])
+    @pytest.mark.parametrize("cut", [np.s_[:1], np.s_[:, :1]], ids=["1xn", "mx1"])
+    def test_w_of_another_shape_rejected(self, score, cut, monkeypatch):
+        # w - merge(layer) would broadcast a (1, n) or (m, 1) w over the
+        # layer and score a matrix that is neither.
+        w = generate_spectral_matrix(8, 6, 1.0, 0)
+        layer = qpissa_init(w, 2)
+
+        def no_work(*args):
+            raise AssertionError("scored before the shape check")
+
+        monkeypatch.setattr(quant, "nuclear_norm", no_work)
+        monkeypatch.setattr(quant, "qlora_error", no_work)
+        message = re.escape(f"shape mismatch {w[cut].shape} vs (8, 6)")
+        with pytest.raises(ShapeError, match=message):
+            score(w[cut], layer)
 
     @pytest.mark.parametrize("method", ["qlora", "loftq", "qpissa"])
     def test_report_ratio_matches_standalone_ratio(self, method):
