@@ -62,6 +62,7 @@ class DecomposedLayer:
         if self.base.shape != self.adapter.shape:
             raise ShapeError(
                 f"base shape {self.base.shape} != adapter shape {self.adapter.shape}")
+        _check_origin(self.origin)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -120,6 +121,16 @@ WINDOWS = {
     "medium": lambda k, r: ((k - r) // 2, (k - r) // 2 + r),
     "minor": lambda k, r: (k - r, k),
 }
+
+# Every origin a DecomposedLayer may carry: the name of the initializer
+# that built it, a singular window or one of the Gaussian/zero and quantized
+# initializers. train.STRATEGIES has one initializer per name.
+ORIGINS = (*WINDOWS, "lora", "qlora", "loftq", "qpissa")
+
+
+def _check_origin(origin) -> None:
+    if not isinstance(origin, str) or origin not in ORIGINS:
+        raise ValueError(f"origin {origin!r} is not an init strategy")
 
 
 def variant_init(w: np.ndarray, r: int, window: str) -> DecomposedLayer:

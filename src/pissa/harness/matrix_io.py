@@ -18,10 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..adapter import AdapterPair, DecomposedLayer
+from ..adapter import AdapterPair, DecomposedLayer, _check_origin
 from ..linalg import as_matrix
 from ..quant import QuantizedMatrix
-from ..train import STRATEGIES
 
 MATRIX_MAGIC = b"PSSA"
 QUANT_MAGIC = b"PSQ4"
@@ -102,19 +101,8 @@ def load_quantized(path) -> QuantizedMatrix:
                            scales, block_size)
 
 
-def _is_strategy(origin) -> bool:
-    # Every initializer stores its own STRATEGIES key as the origin.
-    return isinstance(origin, str) and origin in STRATEGIES
-
-
 def save_adapter_dir(dirpath, layer: DecomposedLayer) -> None:
-    """Write A.pssa, B.pssa, the base, and a metadata file.
-
-    An origin that is not an init strategy raises ValueError before anything
-    is written, since load_adapter_dir would refuse the checkpoint.
-    """
-    if not _is_strategy(layer.origin):
-        raise ValueError(f"origin {layer.origin!r} is not an init strategy")
+    """Write A.pssa, B.pssa, the base, and a metadata file."""
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     save_matrix(dirpath / "A.pssa", layer.adapter.a)
@@ -149,9 +137,10 @@ def load_adapter_dir(dirpath) -> DecomposedLayer:
     if not 0 < scale < math.inf:
         raise FileFormatError(f"{meta_path}: malformed adapter metadata: "
                               f"scale {scale}")
-    if not _is_strategy(origin):
-        raise FileFormatError(f"{meta_path}: malformed adapter metadata: origin "
-                              f"{origin!r} is not an init strategy")
+    try:
+        _check_origin(origin)
+    except ValueError as exc:
+        raise FileFormatError(f"{meta_path}: malformed adapter metadata: {exc}") from exc
     a = load_matrix(dirpath / "A.pssa")
     b = load_matrix(dirpath / "B.pssa")
     # A JSON integer only: a float would be truncated, and true is an int too.

@@ -10,6 +10,7 @@ for speed via Gaussian range finding with subspace iteration.
 from __future__ import annotations
 
 import ctypes
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +86,25 @@ class SvdFactors:
         return SvdFactors(self.u[:, :r].copy(), self.s[:r].copy(), self.v[:, :r].copy())
 
 
+def _pow2_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """(m / 2^e, e) for the exponent e of max|m|, so that every entry of the
+    scaled matrix lies in (-1, 1) and its sums of squares neither overflow
+    nor underflow. The scale only moves exponents: norms of the scaled
+    matrix times 2^e keep their bits."""
+    e = math.frexp(float(np.max(np.abs(m), initial=0.0)))[1]
+    return np.ldexp(m, -e), e
+
+
 def frobenius_norm(m: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.square(m))))
+    """sqrt of the sum of squares. When that sum overflows (entries above
+    about 1e154) or underflows (below about 1e-162) it is taken again on
+    the _pow2_scaled matrix."""
+    with np.errstate(over="ignore"):  # an overflow is caught and redone below
+        total = np.sum(np.square(m))
+    if np.isinf(total) or total < np.finfo(np.float64).tiny:
+        scaled, e = _pow2_scaled(m)
+        return float(np.ldexp(np.sqrt(np.sum(np.square(scaled))), e))
+    return float(np.sqrt(total))
 
 
 # The reconstruction contract: a factorization (or split) of ref is exact
@@ -103,16 +121,6 @@ def relative_error(diff: np.ndarray, ref: np.ndarray) -> float:
 def _check_rank(w: np.ndarray, r: int) -> None:
     if not 1 <= r <= min(w.shape):
         raise ValueError(f"rank {r} out of range for matrix of shape {w.shape}")
-
-
-def nuclear_norm(m: np.ndarray) -> float:
-    """Sum of singular values (trace norm).
-
-    Takes the singular values alone and so bypasses, on purpose, the
-    reconstruction check of ``exact_svd``: that contract is about u and v,
-    which are never formed here.
-    """
-    return float(np.sum(np.linalg.svd(as_matrix(m), compute_uv=False)))
 
 
 def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,6 +211,30 @@ def _bind_dsyevr():
 _DSYEVR = _bind_dsyevr()
 
 
+def _eigh_range(g: np.ndarray, il: int, iu: int, vectors: bool):
+    """Eigenvalues il..iu (1-based, ascending) of the symmetric matrix g from
+    LAPACK dsyevr and, with vectors, their eigenvectors as the rows of an
+    (iu - il + 1) x n array; None when dsyevr is not bound or fails.
+
+    Overwrites g. IL = 1, IU = n takes dsyevr's all-eigenvalues path.
+    """
+    if _DSYEVR is None:
+        return None
+    n = g.shape[0]
+    found, values = ctypes.c_int64(), np.empty(n)
+    # z is the n x count column-major eigenvector block; without vectors
+    # dsyevr does not reference it.
+    z = np.empty((iu - il + 1, n) if vectors else 1)
+    support = np.empty(2 * n, np.int64)
+    # g is symmetric, so its C-order buffer is also its column-major one.
+    info = _DSYEVR(102, b"V" if vectors else b"N", b"I", b"L", n, g.ctypes.data,
+                   n, 0.0, 0.0, il, iu, 0.0, found, values.ctypes.data,
+                   z.ctypes.data, n, support.ctypes.data)
+    if info != 0 or found.value != iu - il + 1:
+        return None
+    return values[:found.value], z
+
+
 def _gram_basis(t: np.ndarray, r: int) -> np.ndarray:
     """Eigenvectors of t^T t for its r largest eigenvalues, largest first.
 
@@ -211,19 +243,71 @@ def _gram_basis(t: np.ndarray, r: int) -> np.ndarray:
     """
     n = t.shape[1]
     g = t.T @ t
+    eig = _eigh_range(g, n - r + 1, n, vectors=True)
+    if eig is not None:
+        return eig[1][::-1].T
     if _DSYEVR is not None:
-        # g is symmetric, so its C-order buffer is also its column-major one.
-        found, values = ctypes.c_int64(), np.empty(n)
-        # z is the n x r column-major eigenvector block, ascending.
-        z, support = np.empty((r, n)), np.empty(2 * n, np.int64)
-        info = _DSYEVR(102, b"V", b"I", b"L", n, g.ctypes.data, n, 0.0, 0.0,
-                       n - r + 1, n, 0.0, found, values.ctypes.data,
-                       z.ctypes.data, n, support.ctypes.data)
-        if info == 0 and found.value == r:
-            return z[::-1].T
         g = t.T @ t  # dsyevr overwrote it
     # eigh orders eigenvalues ascending, so the leading vectors come last.
     return np.linalg.eigh(g)[1][:, ::-1][:, :r]
+
+
+# The bound nuclear_norm keeps on the error estimate of the roots it sums
+# from the Gram spectrum, relative to their sum. A report's LoftQ ratio
+# moves about five times its nuclear error, so ratios stay within 1e-13.
+_GRAM_RTOL = 2e-14
+
+
+def _gram_nuclear(t: np.ndarray) -> float | None:
+    """Nuclear norm of the tall matrix t from its Gram spectrum, or None
+    when nuclear_norm must take the full SVD instead."""
+    n = t.shape[1]
+    gram = t.T @ t
+    # dsyevr overwrites its input; gram is kept for the eigenvectors below.
+    eig = _eigh_range(gram.copy(), 1, n, vectors=False) if n else None
+    if eig is None:
+        return None
+    lam = eig[0]
+    eps_top = np.finfo(np.float64).eps * lam[-1]
+    k = int(np.count_nonzero(lam <= n * eps_top))
+    roots = np.sqrt(lam[k:])
+    # Error estimates of the roots' sums from each root up, smallest root first.
+    tail = np.cumsum((eps_top / (2.0 * roots))[::-1])[::-1]
+    j = int(np.count_nonzero(tail > _GRAM_RTOL * np.sum(roots)))
+    k += j
+    if k > n // 8:
+        return None
+    total = float(np.sum(roots[j:]))
+    if k:
+        low = _eigh_range(gram, 1, k, vectors=True)
+        if low is None:
+            return None
+        total += float(np.sum(np.linalg.svd(t @ low[1].T, compute_uv=False)))
+    return total
+
+
+def nuclear_norm(m: np.ndarray) -> float:
+    """Sum of singular values (trace norm): within 1e-12 relative of
+    np.sum(np.linalg.svd(m, compute_uv=False)), the sum it returns when the
+    fast path does not apply. A zero matrix gives exactly 0.0.
+
+    The fast path takes the eigenvalues lambda of the Gram matrix of m's
+    shorter side, scaled by _pow2_scaled. The root of lambda_i is off by up
+    to eps * lambda_max / (2 sqrt(lambda_i)), its error estimate. The k
+    smallest eigenvalues are resolved instead by the SVD of m times their
+    k eigenvectors: those at or below n * eps * lambda_max, which hold no
+    digits (an exact rank-deficient fit, such as LoftQ's last step, leaves
+    such zeros), and then as many more as it takes to bring the estimate of
+    the summed roots within 2e-14 of their sum. The full SVD runs when k >
+    n / 8, or when dsyevr is not bound or fails. No u or v of m is formed,
+    so exact_svd's reconstruction check does not apply.
+    """
+    m = as_matrix(m)
+    t, e = _pow2_scaled(m.T if m.shape[0] < m.shape[1] else m)
+    total = _gram_nuclear(t)
+    if total is None:
+        return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+    return float(np.ldexp(total, e))
 
 
 def leading_svd(w: np.ndarray, r: int) -> SvdFactors:

@@ -125,9 +125,15 @@ def dequantize(q: QuantizedMatrix) -> np.ndarray:
 
 
 def quantization_error_bound(q: QuantizedMatrix) -> np.ndarray:
-    """Per-entry worst-case rounding error: block scale times half the widest gap."""
-    half_gap = np.max(np.diff(NF4_LEVELS)) / 2.0
-    return _entry_scales(q) * half_gap
+    """Per-entry bound on |m - dequantize(quantize(m))|: block scale times
+    half the widest level gap, rounded up by one ulp of the scale.
+
+    The ulp covers floating point: dividing an entry by its scale and
+    multiplying its level back by it each move the result by at most half
+    an ulp of the scale, since the scaled entry and the level lie in [-1, 1].
+    """
+    scales = _entry_scales(q)
+    return scales * (np.max(np.diff(NF4_LEVELS)) / 2.0) + np.spacing(scales)
 
 
 def qlora_error(w: np.ndarray, cfg: QuantConfig = QuantConfig()) -> float:

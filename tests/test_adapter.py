@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from pissa.adapter import (WINDOWS, AdapterPair, adapter_gradients, forward,
-                           lora_init, merge, pissa_init, reconstruction_error,
-                           to_lora_delta, variant_init)
+from pissa.adapter import (ORIGINS, WINDOWS, AdapterPair, adapter_gradients,
+                           forward, lora_init, merge, pissa_init,
+                           reconstruction_error, to_lora_delta, variant_init)
 from pissa.linalg import RandomSource, ShapeError, exact_svd, frobenius_norm
+from pissa.train import STRATEGIES
 
 
 def rel_err(a, b):
@@ -276,6 +279,18 @@ class TestReconstructionError:
 def test_adapter_pair_rejects_bad_scale(scale):
     with pytest.raises(ValueError, match="scale"):
         AdapterPair(np.ones((3, 2)), np.ones((2, 4)), 2, scale)
+
+
+@pytest.mark.parametrize("origin", ["bogus", None, ["pissa"]],
+                         ids=["bogus", "null", "list"])
+def test_layer_rejects_origin_not_a_strategy(origin):
+    # So no layer in memory can be saved as a checkpoint that will not load.
+    with pytest.raises(ValueError, match="origin"):
+        replace(pissa_init(np.eye(4), 2), origin=origin)
+
+
+def test_origins_are_the_strategy_names():
+    assert sorted(ORIGINS) == sorted(STRATEGIES)
 
 
 @pytest.mark.parametrize("seed", range(8))

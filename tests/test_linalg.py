@@ -4,10 +4,60 @@ import numpy as np
 import pytest
 
 from pissa import linalg
+from pissa.adapter import merge
 from pissa.harness.data import generate_spectral_matrix
 from pissa.linalg import (NumericalError, RandomSource, ShapeError, as_matrix,
                           exact_svd, frobenius_norm, leading_svd, nuclear_norm,
                           qr_thin, randomized_svd)
+from pissa.quant import dequantize, loftq_init, quantize
+
+
+def _svd_sum(m):
+    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+
+
+def _nf4_noise(shape):
+    w = RandomSource(21).normal(shape)
+    return w - dequantize(quantize(w))
+
+
+def _loftq_residual(n):
+    # LoftQ ends on an exact rank-4 fit, which leaves 4 zero singular values.
+    w = generate_spectral_matrix(n, n, 1.0, 22)
+    return w - merge(loftq_init(w, 4, T=1))
+
+
+def _small_tail():
+    # Gram eigenvalues give the singular values 3e-7 and 2e-7 only to about
+    # 4e-10 and lose 4e-9 and 1e-9 entirely; the sum is 45.
+    src = RandomSource(27)
+    u, _ = np.linalg.qr(src.normal((64, 64)))
+    v, _ = np.linalg.qr(src.spawn(1).normal((64, 64)))
+    s = np.concatenate([np.linspace(1.0, 0.5, 60), [3e-7, 2e-7, 4e-9, 1e-9]])
+    return (u * s) @ v.T
+
+
+def _product(m, k, n):
+    src = RandomSource(23)
+    return src.normal((m, k)) @ src.spawn(1).normal((k, n))
+
+
+NUCLEAR_CASES = {
+    "nf4_noise": lambda: _nf4_noise((64, 64)),
+    "loftq_residual": lambda: _loftq_residual(64),
+    "small_tail": _small_tail,
+    "rank1": lambda: _product(48, 1, 40),
+    "rank16": lambda: _product(64, 16, 64),
+    "alpha2": lambda: generate_spectral_matrix(64, 64, 2.0, 24),
+    "alpha3": lambda: generate_spectral_matrix(64, 64, 3.0, 24),
+    "wide": lambda: RandomSource(25).normal((20, 90)),
+    "tall": lambda: RandomSource(25).normal((90, 20)),
+    "1xn": lambda: RandomSource(26).normal((1, 30)),
+    "nx1": lambda: RandomSource(26).normal((30, 1)),
+    "times_1e160": lambda: _nf4_noise((48, 40)) * 1e160,
+    "times_1e-160": lambda: _nf4_noise((48, 40)) * 1e-160,
+    "times_1e300": lambda: _nf4_noise((48, 40)) * 1e300,
+}
 
 
 class TestNorms:
@@ -54,6 +104,33 @@ class TestNorms:
         m = src.normal((shape[0], rank)) @ src.spawn(1).normal((rank, shape[1]))
         expected = float(np.sum(exact_svd(m).s))
         assert nuclear_norm(m) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300])
+    def test_frobenius_outside_the_squared_range(self, scale):
+        # The plain sum of squares overflows or underflows at these scales.
+        m = RandomSource(3).normal((6, 9))
+        assert frobenius_norm(m) == float(np.sqrt(np.sum(np.square(m))))
+        assert frobenius_norm(m * scale) == pytest.approx(
+            frobenius_norm(m) * scale, rel=1e-14)
+
+    @pytest.mark.parametrize("case", NUCLEAR_CASES)
+    def test_nuclear_within_contract_of_svd_sum(self, case):
+        m = NUCLEAR_CASES[case]()
+        assert nuclear_norm(m) == pytest.approx(_svd_sum(m), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("case", ["nf4_noise", "loftq_residual", "small_tail"])
+    def test_nuclear_takes_the_gram_path(self, case, monkeypatch):
+        # These square matrices must be summed without their full SVD.
+        m = NUCLEAR_CASES[case]()
+        expected, svd = _svd_sum(m), np.linalg.svd
+
+        def thin_only(a, *args, **kwargs):
+            if a.shape[0] == a.shape[1]:
+                raise AssertionError("nuclear_norm took the full SVD")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", thin_only)
+        assert nuclear_norm(m) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_nuclear_zero_matrix_is_exactly_zero(self):
         assert nuclear_norm(np.zeros((5, 3))) == 0.0

@@ -144,7 +144,8 @@ class TestQuantizeDequantize:
         expected = NF4_LEVELS[q.codes.ravel()] * scale
         assert np.array_equal(dequantize(q).ravel(), expected)
         half_gap = np.max(np.diff(NF4_LEVELS)) / 2.0
-        assert np.array_equal(quantization_error_bound(q).ravel(), scale * half_gap)
+        assert np.array_equal(quantization_error_bound(q).ravel(),
+                              scale * half_gap + np.spacing(scale))
 
     def test_block_larger_than_matrix_bounded_memory(self):
         # One float of scale per entry, not one per padded block slot: a
@@ -160,7 +161,8 @@ class TestQuantizeDequantize:
         assert peak < 64 * 1024
         scale = q.scales[0]
         assert np.array_equal(values.ravel(), NF4_LEVELS[q.codes.ravel()] * scale)
-        assert (bound == scale * np.max(np.diff(NF4_LEVELS)) / 2.0).all()
+        assert (bound == scale * np.max(np.diff(NF4_LEVELS)) / 2.0
+                + np.spacing(scale)).all()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_per_entry_error_bound(self, seed):
@@ -168,7 +170,18 @@ class TestQuantizeDequantize:
         m = RandomSource(seed).normal((16, 16)) * (seed + 1)
         q = quantize(m, cfg)
         err = np.abs(m - dequantize(q))
-        assert (err <= quantization_error_bound(q) + 1e-15).all()
+        assert (err <= quantization_error_bound(q)).all()
+
+    def test_bound_covers_rounding_past_half_the_widest_gap(self):
+        # The second entry sits near the middle of the widest gap and codes
+        # as -1; with the division and product rounded it lands 2e-26 past
+        # scale * half_gap (1.7053324202350853e-10), within one ulp of the scale.
+        m = np.array([[1.1226412355273921e-09, -9.521079935038836e-10]])
+        q = quantize(m, QuantConfig(block_size=2))
+        err = np.abs(m - dequantize(q))
+        assert q.codes[0, 1] == 0
+        assert err[0, 1] == 1.7053324202350855e-10
+        assert (err <= quantization_error_bound(q)).all()
 
 
 def argmin_quantize(flat, block_size, levels):
@@ -208,13 +221,7 @@ class TestQuantizeMatchesArgminLoop:
         q = quantize(m, QuantConfig(block_size=bs))
         assert np.array_equal(q.scales, scales)
         assert np.array_equal(q.codes.ravel(), codes)
-        # Within the bound up to rounding: near the widest gap's midpoint an
-        # entry can land past scale * half_gap by a fraction of an ulp of its
-        # block scale when the scale is not a power of two; allow two ulps.
-        half_gap = np.max(np.diff(NF4_LEVELS)) / 2.0
-        bound = quantization_error_bound(q)
-        slack = 2 * np.spacing(bound / half_gap)
-        assert (np.abs(m - dequantize(q)) <= bound + slack).all()
+        assert (np.abs(m - dequantize(q)) <= quantization_error_bound(q)).all()
         with tempfile.TemporaryDirectory() as d:
             save_quantized(Path(d) / "q.psq4", q)
             back = load_quantized(Path(d) / "q.psq4")
