@@ -151,8 +151,10 @@ def _signed_factors(w: np.ndarray, u, s, vt) -> tuple[SvdFactors, float]:
 def exact_svd(w: np.ndarray) -> SvdFactors:
     """Economy SVD with descending singular values and a fixed sign convention.
 
-    The reconstruction residual's relative_error is within TOLERANCE
-    (1e-10); a miss raises NumericalError with the achieved residual.
+    numpy's gesdd runs first; when it fails or misses the contract (as on
+    some near-degenerate spectra), LAPACK dgesvd runs once (_gesvd). The
+    reconstruction residual's relative_error is within TOLERANCE (1e-10);
+    a miss raises NumericalError with the achieved residual.
     """
     w = as_matrix(w)
     try:
@@ -160,14 +162,7 @@ def exact_svd(w: np.ndarray) -> SvdFactors:
     except np.linalg.LinAlgError:
         resid = np.inf
     if resid > TOLERANCE:
-        # gesdd occasionally fails, or misses the contract, on near-degenerate
-        # spectra; the slower Jacobi-free gesvd driver is far more robust.
-        from scipy import linalg as sla
-        try:
-            factors, resid = _signed_factors(
-                w, *sla.svd(w, full_matrices=False, lapack_driver="gesvd"))
-        except sla.LinAlgError as exc:
-            raise NumericalError(f"SVD did not converge: {exc}") from exc
+        factors, resid = _signed_factors(w, *_gesvd(w))
         if resid > TOLERANCE:
             raise NumericalError(
                 f"SVD reconstruction residual {resid:.3e} exceeds {TOLERANCE:g}")
@@ -186,29 +181,40 @@ def _ritz(t: np.ndarray, basis: np.ndarray, swap: bool) -> SvdFactors:
     return SvdFactors(u, small.s, v)
 
 
-def _bind_dsyevr():
-    """LAPACKE dsyevr (int64 integers) from the OpenBLAS that numpy's linalg
-    extension links, or None where numpy is built on another LAPACK."""
+def _bind(name: str, *argtypes):
+    """LAPACKE name (int64 integers) from numpy's OpenBLAS, or None if absent."""
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (AttributeError, OSError):
         return None
-    for name in ("scipy_LAPACKE_dsyevr64_", "LAPACKE_dsyevr64_"):
-        fn = getattr(lib, name, None)
-        if fn is not None:
-            i64, ptr, dbl, char = (ctypes.c_int64, ctypes.c_void_p,
-                                   ctypes.c_double, ctypes.c_char)
-            fn.restype = i64
-            # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol,
-            # m, w, z, ldz, isuppz
-            fn.argtypes = [ctypes.c_int, char, char, char, i64, ptr, i64, dbl,
-                           dbl, i64, i64, dbl, ctypes.POINTER(i64), ptr, ptr,
-                           i64, ptr]
-            return fn
-    return None
+    fn = (getattr(lib, f"scipy_LAPACKE_{name}64_", None)
+          or getattr(lib, f"LAPACKE_{name}64_", None))
+    if fn is not None:
+        fn.restype, fn.argtypes = ctypes.c_int64, argtypes
+    return fn
 
 
-_DSYEVR = _bind_dsyevr()
+_I64, _PTR, _DBL, _CHAR = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_char
+# layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz
+_DSYEVR = _bind("dsyevr", ctypes.c_int, _CHAR, _CHAR, _CHAR, _I64, _PTR, _I64, _DBL,
+                _DBL, _I64, _I64, _DBL, ctypes.POINTER(_I64), _PTR, _PTR, _I64, _PTR)
+# layout, jobu, jobvt, m, n, a, lda, s, u, ldu, vt, ldvt, superb
+_DGESVD = _bind("dgesvd", ctypes.c_int, _CHAR, _CHAR, _I64, _I64, _PTR, _I64, _PTR,
+                _PTR, _I64, _PTR, _I64, _PTR)
+
+
+def _gesvd(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Economy (u, s, vt) from LAPACK dgesvd; NumericalError if it fails or is unbound."""
+    if _DGESVD is None:
+        raise NumericalError("SVD retry needs LAPACK dgesvd, not bound in numpy's LAPACK")
+    (m, n), k = w.shape, min(w.shape)
+    a, s, u, vt = np.array(w, order="C"), np.empty(k), np.empty((m, k)), np.empty((k, n))
+    superb = np.empty(max(1, k - 1))
+    info = _DGESVD(101, b"S", b"S", m, n, a.ctypes.data, n, s.ctypes.data,
+                   u.ctypes.data, k, vt.ctypes.data, n, superb.ctypes.data)
+    if info != 0:
+        raise NumericalError(f"SVD did not converge: dgesvd info {info}")
+    return u, s, vt
 
 
 def _eigh_range(g: np.ndarray, il: int, iu: int, vectors: bool):
@@ -242,6 +248,10 @@ def _gram_basis(t: np.ndarray, r: int) -> np.ndarray:
     of them, is the fallback when dsyevr is not bound or fails.
     """
     n = t.shape[1]
+    # The Gram product overflows or underflows past about 2^+-500; beyond
+    # 2^+-400, t is divided by a power of two, which changes no eigenvector.
+    if not 2.0**-400 <= max(np.max(t), -np.min(t)) <= 2.0**400:
+        t = _pow2_scaled(t)[0]
     g = t.T @ t
     eig = _eigh_range(g, n - r + 1, n, vectors=True)
     if eig is not None:

@@ -2,11 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pissa.adapter import (ORIGINS, WINDOWS, AdapterPair, adapter_gradients,
                            forward, lora_init, merge, pissa_init,
                            reconstruction_error, to_lora_delta, variant_init)
-from pissa.linalg import RandomSource, ShapeError, exact_svd, frobenius_norm
+from pissa.linalg import (TOLERANCE, RandomSource, ShapeError, exact_svd,
+                          frobenius_norm, relative_error)
+from pissa.quant import qpissa_init
 from pissa.train import STRATEGIES
 
 
@@ -307,3 +311,27 @@ def test_every_full_precision_init_reconstructs(seed):
         # The layout of a reloaded checkpoint, so both train identically.
         assert layer.adapter.a.flags.c_contiguous
         assert layer.adapter.b.flags.c_contiguous
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_lora_delta_exact_at_any_scale_and_base(data):
+    # merge(init) + scale * deltaA deltaB is the trained layer, whatever the
+    # scale and whether the frozen base is dense or NF4-quantized.
+    m, n = data.draw(st.integers(2, 24), label="m"), data.draw(st.integers(2, 24), label="n")
+    r = data.draw(st.integers(1, min(m, n)), label="r")
+    scale = data.draw(st.floats(1 / 64, 64).filter(lambda s: s != 1.0), label="scale")
+    init_fn = data.draw(st.sampled_from([pissa_init, qpissa_init]), label="init")
+    step = data.draw(st.floats(1e-3, 10.0), label="step")
+    rng = RandomSource(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    layer = init_fn(rng.normal((m, n)), r)
+    layer = replace(layer, adapter=replace(layer.adapter, scale=scale))
+    init = layer.adapter.copy()
+    original = merge(layer)
+    layer.adapter.a += step * rng.spawn(1).normal((m, r))
+    layer.adapter.b += step * rng.spawn(2).normal((r, n))
+    da, db = to_lora_delta(init, layer.adapter)
+    assert da.shape == (m, 2 * r) and db.shape == (2 * r, n)
+    x = rng.spawn(3).normal((4, m))
+    rhs = forward(layer, x)
+    assert relative_error(x @ (original + scale * (da @ db)) - rhs, rhs) <= TOLERANCE

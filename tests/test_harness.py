@@ -708,17 +708,47 @@ class TestCli:
 
 
 def test_cli_runs_without_loading_scipy(tmp_path):
-    # A fresh interpreter: this one has scipy loaded by the oracle tests.
+    # A fresh interpreter: this one has scipy loaded by the oracle tests. There
+    # scipy is unimportable, every subcommand runs, and one gesdd failure is
+    # retried through LAPACK dgesvd.
     script = textwrap.dedent("""
         import sys
+        sys.modules["scipy"] = None  # any scipy import raises ImportError
+        import numpy as np
         import pissa
-        from pissa.harness import cli
+        from pissa import linalg
+        from pissa.harness import cli, generate_spectral_matrix, save_matrix
         out = sys.argv[1]
-        assert cli.main(["quant-bench", "--m", "32", "--n", "32", "--ranks", "4",
-                         "--T", "1,2", "--seeds", "0", "--out", out + "/q.csv"]) == 0
-        assert cli.main(["converge", "--seeds", "0", "--steps", "3",
-                         "--strategies", "pissa,qpissa", "--out", out + "/c.csv"]) == 0
-        print(sorted(k for k in sys.modules if k.split(".")[0] == "scipy"))
+        save_matrix(out + "/w.pssa", generate_spectral_matrix(24, 16, 1.0, 0))
+        for argv in (
+                ["decompose", "--in", out + "/w.pssa", "--rank", "4",
+                 "--out", out + "/ckpt"],
+                ["convert-lora", "--init", out + "/ckpt", "--trained",
+                 out + "/ckpt", "--out", out + "/delta"],
+                ["quant-bench", "--m", "32", "--n", "32", "--ranks", "4",
+                 "--T", "1,2", "--seeds", "0", "--out", out + "/q.csv"],
+                ["converge", "--seeds", "0", "--steps", "3",
+                 "--strategies", "pissa,qpissa", "--out", out + "/c.csv"],
+                ["fastsvd-bench", "--m", "32", "--n", "24", "--ranks", "4",
+                 "--niter", "0,2", "--seeds", "0", "--out", out + "/f.csv"],
+                ["gradcheck", "--seeds", "0", "--strategies", "pissa,qpissa",
+                 "--out", out + "/g.csv"]):
+            assert cli.main(argv) == 0, argv
+        svd, failed = np.linalg.svd, []
+
+        def fail_once(*args, **kwargs):
+            if not failed:
+                failed.append(True)
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(*args, **kwargs)
+
+        np.linalg.svd = fail_once
+        w = generate_spectral_matrix(24, 16, 1.0, 1)
+        f = linalg.exact_svd(w)
+        assert failed
+        assert linalg.relative_error(f.reconstruct() - w, w) <= linalg.TOLERANCE
+        print(sorted(k for k, m in sys.modules.items()
+                     if m is not None and k.split(".")[0] == "scipy"))
     """)
     src = str(Path(pissa.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

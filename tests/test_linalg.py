@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from pissa import linalg
-from pissa.adapter import merge
+from pissa.adapter import merge, pissa_init
 from pissa.harness.data import generate_spectral_matrix
 from pissa.linalg import (NumericalError, RandomSource, ShapeError, as_matrix,
                           exact_svd, frobenius_norm, leading_svd, nuclear_norm,
                           qr_thin, randomized_svd)
-from pissa.quant import dequantize, loftq_init, quantize
+from pissa.quant import (dequantize, loftq_init, qpissa_init,
+                         quantization_error_bound, quantize)
 
 
 def _svd_sum(m):
@@ -180,10 +181,13 @@ class TestExactSvd:
         assert (f.u[idx, np.arange(9)] >= 0).all()
 
     def test_contract_miss_falls_back_then_raises(self, monkeypatch):
-        from scipy import linalg as sla
         w = generate_spectral_matrix(12, 10, 1.0, 0)
         good = exact_svd(w)
-        svd = np.linalg.svd
+        svd, gesvd, retries = np.linalg.svd, linalg._gesvd, []
+
+        def spy(m):
+            retries.append(m.shape)
+            return gesvd(m)
 
         def off(m, **kwargs):
             # A driver that returns but misses the reconstruction contract.
@@ -191,16 +195,65 @@ class TestExactSvd:
             return u, s * (1 + 1e-6), vt
 
         monkeypatch.setattr(np.linalg, "svd", off)
+        monkeypatch.setattr(linalg, "_gesvd", spy)
         fallback = exact_svd(w)
+        assert retries == [w.shape]
         assert frobenius_norm(fallback.reconstruct() - w) <= 1e-10
         np.testing.assert_allclose(fallback.s, good.s, rtol=1e-12)
-        monkeypatch.setattr(sla, "svd", off)
+        monkeypatch.setattr(linalg, "_gesvd", off)
         with pytest.raises(NumericalError, match="residual"):
             exact_svd(w)
+
+    @staticmethod
+    def _gesdd_fails(monkeypatch):
+        def failing(m, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+
+    def test_unbound_dgesvd_raises_named_error(self, monkeypatch):
+        # numpy on another LAPACK (no LAPACKE dgesvd symbol): a gesdd
+        # failure is a typed error naming the missing driver, not a retry.
+        self._gesdd_fails(monkeypatch)
+        monkeypatch.setattr(linalg, "_DGESVD", None)
+        with pytest.raises(NumericalError, match="dgesvd"):
+            exact_svd(generate_spectral_matrix(12, 10, 1.0, 0))
+
+    def test_dgesvd_failure_raises(self, monkeypatch):
+        self._gesdd_fails(monkeypatch)
+        monkeypatch.setattr(linalg, "_DGESVD", lambda *args: 3)
+        with pytest.raises(NumericalError, match="did not converge: dgesvd info 3"):
+            exact_svd(generate_spectral_matrix(12, 10, 1.0, 0))
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             exact_svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+GESVD_CASES = {
+    "tall": RandomSource(11).normal((40, 24)),
+    "wide": RandomSource(12).normal((24, 40)),
+    "row": RandomSource(13).normal((1, 9)),
+    "column": RandomSource(14).normal((9, 1)),
+    "empty": np.zeros((0, 5)),
+    "rank_deficient": (RandomSource(4).normal((30, 4))
+                       @ RandomSource(5).normal((4, 25))),
+    "transposed_view": RandomSource(15).normal((24, 40)).T,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GESVD_CASES))
+def test_gesvd_reconstructs(name):
+    w = GESVD_CASES[name]
+    original = w.copy()
+    u, s, vt = linalg._gesvd(w)
+    k = min(w.shape)
+    assert u.shape == (w.shape[0], k) and s.shape == (k,) and vt.shape == (k, w.shape[1])
+    assert np.array_equal(w, original)  # dgesvd overwrites a copy only
+    assert (np.diff(s) <= 0).all() and (s >= 0).all()
+    np.testing.assert_allclose(u.T @ u, np.eye(k), atol=1e-12)
+    np.testing.assert_allclose(vt @ vt.T, np.eye(k), atol=1e-12)
+    assert linalg.relative_error((u * s) @ vt - w, w) <= linalg.TOLERANCE
 
 
 # (matrix, r) pairs for leading_svd: tall, wide, r = min(m, n), rank
@@ -311,6 +364,30 @@ class TestLeadingSvd:
         np.testing.assert_allclose(got.s, ref.s, rtol=1e-12, atol=tol)
         np.testing.assert_allclose(got.reconstruct(), ref.reconstruct(),
                                    rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-170, 1e-160, 1e-150,
+                                       1e150, 1e160, 1e200, 1e300])
+    def test_extreme_scales_match_exact_svd(self, scale):
+        # The Gram product squares the exponents. Relative checks only: an
+        # absolute tolerance would pass anything at 1e-300.
+        w = scale * generate_spectral_matrix(32, 32, 1.0, 0)
+        f, ref = leading_svd(w, 4), exact_svd(w).truncate(4)
+        np.testing.assert_allclose(f.s, ref.s, rtol=1e-12)
+        for a, b in ((f.u, ref.u), (f.v, ref.v)):
+            np.testing.assert_allclose(a @ a.T, b @ b.T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("init", [pissa_init, qpissa_init])
+    def test_init_of_1e300_signs_matches_exact_svd(self, init):
+        # Its Gram product overflows, and eigh failed on it.
+        w = np.sign(RandomSource(1).normal((4, 4))) * 1e300
+        layer, ref = init(w, 2), exact_svd(w).truncate(2)
+        np.testing.assert_allclose(layer.adapter.delta(), ref.reconstruct(),
+                                   rtol=0, atol=1e-12 * ref.s[0])
+        err = w - merge(layer)
+        if init is pissa_init:
+            assert linalg.relative_error(err, w) <= linalg.TOLERANCE
+        else:
+            assert (np.abs(err) <= quantization_error_bound(layer.base)).all()
 
     def test_bad_basis_falls_back_to_exact_svd(self, monkeypatch):
         w = generate_spectral_matrix(30, 20, 1.0, 8)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from pissa import quant
+from pissa import linalg, quant
 from pissa.adapter import merge, pissa_init
 from pissa.harness.data import generate_spectral_matrix
 from pissa.harness.matrix_io import load_quantized, save_quantized
@@ -425,9 +425,8 @@ class TestErrorReductionRatio:
     def test_rank_deficient_seeds_exercise_gesvd_retry(self, monkeypatch):
         # A spy makes gesdd's first answer on each residual miss the
         # contract, so the retry runs whatever the data bits: exact_svd must
-        # call gesvd once and return factors that meet the contract.
-        from scipy import linalg as sla
-        svd, sla_svd = np.linalg.svd, sla.svd
+        # call LAPACK dgesvd once and return factors that meet the contract.
+        svd, dgesvd = np.linalg.svd, linalg._DGESVD
         misses, drivers = [], []
 
         def off_once(m, **kwargs):
@@ -437,12 +436,12 @@ class TestErrorReductionRatio:
             u, s, vt = svd(m, **kwargs)
             return u, s * (1 + 1e-6) if miss else s, vt
 
-        def spy(*args, **kwargs):
-            drivers.append(kwargs.get("lapack_driver"))
-            return sla_svd(*args, **kwargs)
+        def spy(*args):
+            drivers.append("gesvd")
+            return dgesvd(*args)
 
         monkeypatch.setattr(np.linalg, "svd", off_once)
-        monkeypatch.setattr(sla, "svd", spy)
+        monkeypatch.setattr(linalg, "_DGESVD", spy)
         for seed in RANK_DEFICIENT_SEEDS:
             w = generate_spectral_matrix(128, 128, 1.0, seed)
             residual = w - merge(loftq_init(w, 16, 1))
