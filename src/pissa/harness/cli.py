@@ -6,8 +6,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from ..adapter import (forward, merge, pissa_init, reconstruction_error,
-                       to_lora_delta)
+import numpy as np
+
+from ..adapter import (dense_base, forward, merge, pissa_init,
+                       reconstruction_error, to_lora_delta)
 from ..linalg import TOLERANCE, RandomSource, relative_error
 from .experiments import KINDS, ExperimentSpec, run_experiment
 from .matrix_io import load_adapter_dir, load_matrix, save_adapter_dir, save_matrix
@@ -55,6 +57,10 @@ def _cmd_convert_lora(args) -> int:
     init = load_adapter_dir(args.init)
     trained = load_adapter_dir(args.trained)
     delta_a, delta_b = to_lora_delta(init.adapter, trained.adapter)
+    # Training never changes the frozen base, so a different one means the
+    # checkpoints split different weights and no delta relates them.
+    if not np.array_equal(dense_base(init), dense_base(trained)):
+        raise ValueError(f"{args.init} and {args.trained} have different frozen bases")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_matrix(out / "deltaA.pssa", delta_a)

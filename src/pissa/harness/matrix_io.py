@@ -128,15 +128,16 @@ def load_adapter_dir(dirpath) -> DecomposedLayer:
     meta_path = dirpath / "meta.json"
     try:
         meta = json.loads(meta_path.read_text())
-        rank, scale, origin = meta["rank"], float(meta["scale"]), meta["origin"]
+        rank, scale, origin = meta["rank"], meta["scale"], meta["origin"]
     except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad JSON
         raise FileFormatError(
             f"{meta_path}: malformed adapter metadata: {type(exc).__name__}: {exc}"
         ) from exc
-    # json reads NaN, Infinity and overflowing literals such as 1e400 as floats.
-    if not 0 < scale < math.inf:
+    # A JSON number only: float() would also take "2.5" and true. json reads
+    # NaN, Infinity and overflowing literals such as 1e400 as floats.
+    if type(scale) not in (int, float) or not 0 < scale < math.inf:
         raise FileFormatError(f"{meta_path}: malformed adapter metadata: "
-                              f"scale {scale}")
+                              f"scale {scale!r}")
     try:
         _check_origin(origin)
     except ValueError as exc:
@@ -159,5 +160,5 @@ def load_adapter_dir(dirpath) -> DecomposedLayer:
     if b.shape[0] != rank or base.shape != (a.shape[0], b.shape[1]):
         raise FileFormatError(f"{dirpath}: inconsistent shapes: A.pssa {a.shape}, "
                               f"B.pssa {b.shape}, {base_file} {base.shape}")
-    pair = AdapterPair(a=a, b=b, rank=rank, scale=scale)
+    pair = AdapterPair(a=a, b=b, rank=rank, scale=float(scale))
     return DecomposedLayer(base=base, adapter=pair, origin=origin)

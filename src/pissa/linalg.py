@@ -241,25 +241,23 @@ def _eigh_range(g: np.ndarray, il: int, iu: int, vectors: bool):
     return values[:found.value], z
 
 
-def _gram_basis(t: np.ndarray, r: int) -> np.ndarray:
-    """Eigenvectors of t^T t for its r largest eigenvalues, largest first.
+def _gram(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(t / 2^e, its Gram matrix, e) for the tall matrix t. The Gram product
+    overflows or underflows past about 2^+-500, so e is _pow2_scaled's
+    exponent when max|t| lies outside [2^-400, 2^400], and 0 otherwise."""
+    e = 0
+    if not 2.0**-400 <= max(np.max(t, initial=0.0), -np.min(t, initial=0.0)) <= 2.0**400:
+        t, e = _pow2_scaled(t)
+    return t, t.T @ t, e
 
-    LAPACK dsyevr computes only those r; numpy's eigh, which computes all
-    of them, is the fallback when dsyevr is not bound or fails.
-    """
+
+def _gram_basis(t: np.ndarray, r: int) -> np.ndarray | None:
+    """Eigenvectors of t^T t for its r largest eigenvalues, largest first,
+    from LAPACK dsyevr, which computes only those r; None when dsyevr is not
+    bound or fails."""
     n = t.shape[1]
-    # The Gram product overflows or underflows past about 2^+-500; beyond
-    # 2^+-400, t is divided by a power of two, which changes no eigenvector.
-    if not 2.0**-400 <= max(np.max(t), -np.min(t)) <= 2.0**400:
-        t = _pow2_scaled(t)[0]
-    g = t.T @ t
-    eig = _eigh_range(g, n - r + 1, n, vectors=True)
-    if eig is not None:
-        return eig[1][::-1].T
-    if _DSYEVR is not None:
-        g = t.T @ t  # dsyevr overwrote it
-    # eigh orders eigenvalues ascending, so the leading vectors come last.
-    return np.linalg.eigh(g)[1][:, ::-1][:, :r]
+    eig = _eigh_range(_gram(t)[1], n - r + 1, n, vectors=True)
+    return None if eig is None else eig[1][::-1].T
 
 
 # The bound nuclear_norm keeps on the error estimate of the roots it sums
@@ -271,8 +269,8 @@ _GRAM_RTOL = 2e-14
 def _gram_nuclear(t: np.ndarray) -> float | None:
     """Nuclear norm of the tall matrix t from its Gram spectrum, or None
     when nuclear_norm must take the full SVD instead."""
+    t, gram, e = _gram(t)
     n = t.shape[1]
-    gram = t.T @ t
     # dsyevr overwrites its input; gram is kept for the eigenvectors below.
     eig = _eigh_range(gram.copy(), 1, n, vectors=False) if n else None
     if eig is None:
@@ -293,7 +291,7 @@ def _gram_nuclear(t: np.ndarray) -> float | None:
         if low is None:
             return None
         total += float(np.sum(np.linalg.svd(t @ low[1].T, compute_uv=False)))
-    return total
+    return float(np.ldexp(total, e))
 
 
 def nuclear_norm(m: np.ndarray) -> float:
@@ -302,10 +300,10 @@ def nuclear_norm(m: np.ndarray) -> float:
     fast path does not apply. A zero matrix gives exactly 0.0.
 
     The fast path takes the eigenvalues lambda of the Gram matrix of m's
-    shorter side, scaled by _pow2_scaled. The root of lambda_i is off by up
-    to eps * lambda_max / (2 sqrt(lambda_i)), its error estimate. The k
-    smallest eigenvalues are resolved instead by the SVD of m times their
-    k eigenvectors: those at or below n * eps * lambda_max, which hold no
+    shorter side (_gram). The root of lambda_i is off by up to eps *
+    lambda_max / (2 sqrt(lambda_i)), its error estimate. The k smallest
+    eigenvalues are resolved instead by the SVD of m times their k
+    eigenvectors: those at or below n * eps * lambda_max, which hold no
     digits (an exact rank-deficient fit, such as LoftQ's last step, leaves
     such zeros), and then as many more as it takes to bring the estimate of
     the summed roots within 2e-14 of their sum. The full SVD runs when k >
@@ -313,11 +311,10 @@ def nuclear_norm(m: np.ndarray) -> float:
     so exact_svd's reconstruction check does not apply.
     """
     m = as_matrix(m)
-    t, e = _pow2_scaled(m.T if m.shape[0] < m.shape[1] else m)
-    total = _gram_nuclear(t)
+    total = _gram_nuclear(m.T if m.shape[0] < m.shape[1] else m)
     if total is None:
         return float(np.sum(np.linalg.svd(m, compute_uv=False)))
-    return float(np.ldexp(total, e))
+    return total
 
 
 def leading_svd(w: np.ndarray, r: int) -> SvdFactors:
@@ -326,16 +323,18 @@ def leading_svd(w: np.ndarray, r: int) -> SvdFactors:
     The basis comes from the top r eigenvectors of the Gram matrix of w's
     shorter side (_gram_basis), and one Rayleigh-Ritz step (the exact SVD
     of the tall r-column product) turns it into singular triplets, so no
-    full m x n SVD is taken. When relative_error(w^T u - v s, w) exceeds
-    TOLERANCE, the exact_svd result is returned instead.
+    full m x n SVD is taken. The one fallback, exact_svd(w).truncate(r), runs
+    when dsyevr is unbound or fails or relative_error(w^T u - v s, w) > TOLERANCE.
     """
     w = as_matrix(w)
     _check_rank(w, r)
     wide = w.shape[0] < w.shape[1]
     t = w.T if wide else w
-    f = _ritz(t, _gram_basis(t, r), swap=wide)
-    resid = relative_error(w.T @ f.u - f.v * f.s, w)
-    return exact_svd(w).truncate(r) if resid > TOLERANCE else f
+    basis = _gram_basis(t, r)
+    f = None if basis is None else _ritz(t, basis, swap=wide)
+    if f is None or relative_error(w.T @ f.u - f.v * f.s, w) > TOLERANCE:
+        return exact_svd(w).truncate(r)
+    return f
 
 
 def qr_thin(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -223,8 +223,13 @@ def quant_report(w: np.ndarray, layer, cfg: QuantConfig = QuantConfig()) -> Quan
     percent drop in nuclear error against quantizing w directly (exactly 0
     for the zero-adapter baseline). A w that quantizes without error, such
     as a zero matrix, has no ratio: ZeroDivisionError. A w of another shape
-    than the layer's: ShapeError."""
+    than the layer's: ShapeError. A quantized base of another block size
+    than cfg's, whose baseline would come from another quantizer: ValueError."""
     w = adapter._layer_matrix(w, layer)
+    base = layer.base
+    if isinstance(base, QuantizedMatrix) and base.block_size != cfg.block_size:
+        raise ValueError(f"layer quantized at block size {base.block_size}, "
+                         f"baseline at block size {cfg.block_size}")
     err_matrix = w - adapter.merge(layer)
     nuclear, frobenius = nuclear_norm(err_matrix), frobenius_norm(err_matrix)
     baseline = _baseline_error(w, cfg)

@@ -334,8 +334,10 @@ def gradcheck(model: MlpModel, x: np.ndarray, labels: np.ndarray,
               eps: float = 1e-5) -> float:
     """Max relative error of analytic adapter gradients vs central differences.
 
-    Samples whose hidden pre-activations sit within 1e-3 of the rectifier
-    kink are nudged by 1e-3 before differencing.
+    While any hidden pre-activation of the batch sits within 1e-3 of the
+    rectifier kink, the whole batch x is shifted by 1e-3, at most 8 times;
+    the differences are taken on the last shift whether or not it cleared
+    the kink.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")

@@ -254,7 +254,8 @@ class TestAdapterCheckpoints:
 
     @pytest.mark.parametrize("field,text", [
         ("scale", "NaN"), ("scale", "Infinity"), ("scale", "-Infinity"),
-        ("scale", "1e400"), ("scale", "0"), ("scale", "-1.5"), ("rank", "0"),
+        ("scale", "1e400"), ("scale", "0"), ("scale", "-1.5"), ("scale", '"2.5"'),
+        ("scale", "true"), ("scale", "null"), ("rank", "0"),
         ("rank", "-2"), ("rank", "2.7"), ("rank", "true"), ("rank", "3")])
     def test_bad_rank_or_scale_rejected(self, tmp_path, field, text):
         save_adapter_dir(tmp_path / "c", pissa_init(np.eye(4), 2))
@@ -632,6 +633,20 @@ class TestCli:
         expected = trained.adapter.delta() - init.adapter.delta()
         np.testing.assert_allclose(da @ db, expected, atol=1e-10)
         assert "probe_error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("init", [pissa_init, qpissa_init], ids=["dense", "psq4"])
+    def test_convert_lora_refuses_different_bases(self, tmp_path, capsys, init):
+        # Checkpoints of two different weights: no delta relates them, so the
+        # command stops with a typed error before it writes anything.
+        for name, seed in (("init", 0), ("trained", 1)):
+            w = generate_spectral_matrix(32, 24, 1.0, seed)
+            save_adapter_dir(tmp_path / name, init(w, 4))
+        code = main(["convert-lora", "--init", str(tmp_path / "init"),
+                     "--trained", str(tmp_path / "trained"),
+                     "--out", str(tmp_path / "delta")])
+        assert code == 2
+        assert "different frozen bases" in capsys.readouterr().err
+        assert not (tmp_path / "delta").exists()
 
     def test_quant_bench_subcommand(self, tmp_path, capsys):
         out = tmp_path / "qb.csv"

@@ -9,8 +9,9 @@ from pissa.harness.data import generate_spectral_matrix
 from pissa.linalg import (NumericalError, RandomSource, ShapeError, as_matrix,
                           exact_svd, frobenius_norm, leading_svd, nuclear_norm,
                           qr_thin, randomized_svd)
-from pissa.quant import (dequantize, loftq_init, qpissa_init,
+from pissa.quant import (QuantConfig, dequantize, loftq_init, qpissa_init,
                          quantization_error_bound, quantize)
+from pissa.train import STRATEGIES
 
 
 def _svd_sum(m):
@@ -135,6 +136,10 @@ class TestNorms:
 
     def test_nuclear_zero_matrix_is_exactly_zero(self):
         assert nuclear_norm(np.zeros((5, 3))) == 0.0
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)], ids=["0x3", "3x0", "0x0"])
+    def test_nuclear_empty_matrix_is_exactly_zero(self, shape):
+        assert nuclear_norm(np.zeros(shape)) == 0.0
 
     def test_nuclear_rejects_nan_and_vectors(self):
         with pytest.raises(ValueError):
@@ -269,17 +274,34 @@ LEADING_CASES = {
 }
 
 
-def _leading_or_error(w, r):
-    try:
-        return leading_svd(w, r)
-    except Exception as exc:  # compared by type across the two basis paths
-        return exc
+def _forbid_full_svd(monkeypatch, w):
+    # np.linalg.svd raises on w itself: the full SVD of exact_svd(w), the
+    # fallback, must not run. Thin products such as the Ritz step's pass.
+    svd = np.linalg.svd
+
+    def thin_only(a, *args, **kwargs):
+        if a.shape == w.shape and np.array_equal(a, w):
+            raise AssertionError("leading_svd fell back to the full SVD")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", thin_only)
+
+
+def _assert_same_bits(f, ref):
+    for x, y in ((f.u, ref.u), (f.s, ref.s), (f.v, ref.v)):
+        assert np.array_equal(x, y)
 
 
 class TestLeadingSvd:
-    @staticmethod
-    def check_matches_truncated_exact_svd(w, r):
-        f, ref = leading_svd(w, r), exact_svd(w).truncate(r)
+    @pytest.mark.parametrize("case", LEADING_CASES)
+    def test_matches_truncated_exact_svd(self, case, monkeypatch):
+        # The basis comes from dsyevr where numpy's LAPACK exports it, so the
+        # full SVD must not run there.
+        w, r = LEADING_CASES[case]
+        ref = exact_svd(w).truncate(r)
+        if linalg._DSYEVR is not None:
+            _forbid_full_svd(monkeypatch, w)
+        f = leading_svd(w, r)
         assert f.u.shape == ref.u.shape and f.v.shape == ref.v.shape
         tol = 1e-12 * max(1.0, ref.s[0])
         # Relative for nonzero singular values, absolute for the zero ones.
@@ -297,19 +319,12 @@ class TestLeadingSvd:
         assert (f.u[idx, np.arange(r)] >= 0).all()
 
     @pytest.mark.parametrize("case", LEADING_CASES)
-    def test_matches_truncated_exact_svd(self, case, monkeypatch):
-        # The basis comes from dsyevr where numpy's LAPACK exports it, so
-        # numpy's eigh must not be reached there.
-        if linalg._DSYEVR is not None:
-            def no_eigh(g):
-                raise AssertionError("eigh called although dsyevr is bound")
-            monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-        self.check_matches_truncated_exact_svd(*LEADING_CASES[case])
-
-    @pytest.mark.parametrize("case", LEADING_CASES)
     def test_eigh_fallback_matches_truncated_exact_svd(self, case, monkeypatch):
+        # Without dsyevr there is no eigenvector basis: leading_svd returns
+        # its one fallback, exact_svd(w).truncate(r), bit for bit.
+        w, r = LEADING_CASES[case]
         monkeypatch.setattr(linalg, "_DSYEVR", None)
-        self.check_matches_truncated_exact_svd(*LEADING_CASES[case])
+        _assert_same_bits(leading_svd(w, r), exact_svd(w).truncate(r))
 
     def test_deterministic(self):
         w = generate_spectral_matrix(48, 32, 1.0, 7)
@@ -319,15 +334,13 @@ class TestLeadingSvd:
 
     @pytest.mark.parametrize("wide", [False, True])
     @pytest.mark.parametrize("info,short", [(1, 0), (0, 1)])
-    def test_failed_dsyevr_falls_back_to_eigh_on_intact_gram(
-            self, monkeypatch, wide, info, short):
+    def test_failed_dsyevr_falls_back_to_exact_svd(self, monkeypatch, wide, info, short):
         # A failed call (info != 0, or fewer than r values) may have
-        # overwritten the Gram matrix, as LAPACK does: the fallback must
-        # give eigh's basis of the Gram itself, bit for bit.
+        # overwritten the Gram matrix, as LAPACK does: dsyevr is not called
+        # again, and the result is exact_svd(w).truncate(r), bit for bit.
         w = generate_spectral_matrix(30, 20, 1.0, 8)
         w = w.T if wide else w
-        monkeypatch.setattr(linalg, "_DSYEVR", None)
-        ref = leading_svd(w, 5)
+        ref = exact_svd(w).truncate(5)
         calls = []
 
         def failing(layout, jobz, rng, uplo, n, a, lda, vl, vu, il, iu,
@@ -340,26 +353,21 @@ class TestLeadingSvd:
         monkeypatch.setattr(linalg, "_DSYEVR", failing)
         f = leading_svd(w, 5)
         assert calls == [(20, 16, 20)]
-        for x, y in ((f.u, ref.u), (f.s, ref.s), (f.v, ref.v)):
-            assert np.array_equal(x, y)
+        _assert_same_bits(f, ref)
 
     @pytest.mark.parametrize("scale", [1e150, 1e160, 1e-160, 1e-170, 1e300])
     @pytest.mark.parametrize("shape", [(32, 32), (4, 4)], ids=["spectral", "ones"])
     def test_extreme_scales_match_eigh_path(self, monkeypatch, scale, shape):
-        # Out of the Gram product's range dsyevr must neither crash nor
-        # differ from the eigh path: the same exception type, or the same
-        # triplets up to rounding. A 4x4 matrix of ones makes eigh raise
-        # LinAlgError on its overflowed Gram at 1e160 and 1e300.
+        # Out of the Gram product's range the dsyevr basis must still serve:
+        # the full SVD does not run, and the triplets match exact_svd's up to
+        # rounding. A 4x4 matrix of ones has rank 1, so three of its four
+        # singular values are zero.
         w = scale * (generate_spectral_matrix(32, 32, 1.0, 0)
                      if shape == (32, 32) else np.ones(shape))
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            got = _leading_or_error(w, 4)
-            monkeypatch.setattr(linalg, "_DSYEVR", None)
-            ref = _leading_or_error(w, 4)
-        if isinstance(ref, Exception):
-            assert type(got) is type(ref)
-            return
-        assert not isinstance(got, Exception)
+        ref = exact_svd(w).truncate(4)
+        if linalg._DSYEVR is not None:
+            _forbid_full_svd(monkeypatch, w)
+        got = leading_svd(w, 4)
         tol = 1e-12 * ref.s[0]
         np.testing.assert_allclose(got.s, ref.s, rtol=1e-12, atol=tol)
         np.testing.assert_allclose(got.reconstruct(), ref.reconstruct(),
@@ -399,14 +407,35 @@ class TestLeadingSvd:
             return q
 
         monkeypatch.setattr(linalg, "_gram_basis", bad_basis)
-        f = leading_svd(w, 5)
-        for x, y in ((f.u, ref.u), (f.s, ref.s), (f.v, ref.v)):
-            assert np.array_equal(x, y)
+        _assert_same_bits(leading_svd(w, 5), ref)
 
     @pytest.mark.parametrize("r", [0, 11])
     def test_rank_out_of_range(self, r):
         with pytest.raises(ValueError):
             leading_svd(np.ones((10, 12)), r)
+
+
+def test_every_initializer_runs_without_dsyevr(monkeypatch):
+    # numpy on another LAPACK (no LAPACKE dsyevr symbol): leading_svd takes
+    # the full SVD and nuclear_norm the SVD sum, and every initializer gives
+    # the layer it gives with dsyevr, up to rounding.
+    w = generate_spectral_matrix(40, 32, 1.0, 3)
+    inits = {name: lambda w, init=init: init(w, 4, RandomSource(1), QuantConfig())
+             for name, init in STRATEGIES.items()}
+    inits["qpissa_T3"] = lambda w: qpissa_init(w, 4, T=3)
+    inits["loftq_T3"] = lambda w: loftq_init(w, 4, T=3)
+    with_dsyevr = {name: init(w) for name, init in inits.items()}
+    err = w - merge(with_dsyevr["loftq_T3"])
+    nuclear = nuclear_norm(err)
+    monkeypatch.setattr(linalg, "_DSYEVR", None)
+    for name, init in inits.items():
+        layer, ref = init(w), with_dsyevr[name]
+        assert layer.origin == ref.origin
+        np.testing.assert_allclose(merge(layer), merge(ref), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(layer.adapter.delta(), ref.adapter.delta(),
+                                   rtol=0, atol=1e-12)
+    assert nuclear_norm(err) == _svd_sum(err)
+    assert nuclear_norm(err) == pytest.approx(nuclear, rel=1e-12, abs=0)
 
 
 def householder_qr(m):

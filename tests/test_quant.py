@@ -486,8 +486,17 @@ class TestErrorReductionRatio:
         error_reduction_ratio(changed, layer, cfg)
         tall = w.reshape(32, 24)
         error_reduction_ratio(tall, qpissa_init(tall, 4, 1, cfg), cfg)
-        error_reduction_ratio(w, layer, QuantConfig(block_size=8))
+        cfg8 = QuantConfig(block_size=8)
+        error_reduction_ratio(w, qpissa_init(w, 4, 1, cfg8), cfg8)
         assert calls == [(24, 32)] * 2 + [(32, 24), (24, 32)]
+
+    def test_block_size_mismatch_rejected(self):
+        # A layer quantized at 16 against a baseline quantized at 64 would
+        # compare two quantizers.
+        w = generate_spectral_matrix(24, 32, 1.0, 6)
+        layer = qpissa_init(w, 4, 1, QuantConfig(block_size=16))
+        with pytest.raises(ValueError, match="block size 16.*block size 64"):
+            quant_report(w, layer, QuantConfig(block_size=64))
 
     @pytest.mark.parametrize("seed", RANK_DEFICIENT_SEEDS)
     def test_nuclear_norm_matches_exact_svd_on_residual(self, seed):
