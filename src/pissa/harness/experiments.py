@@ -26,6 +26,7 @@ from ..train import (STRATEGIES, Dataset, MlpModel, TrainConfig, gradcheck,
 from .data import DATA_VERSION, generate_cluster_dataset, generate_spectral_matrix
 from .matrix_io import _atomic_write
 
+CLASSES = 10  # the toy MLP's outputs: layer 2 is hidden x CLASSES
 PRETRAIN_CLASSES = (1, 3, 5, 7, 9)
 FINETUNE_CLASSES = (0, 2, 4, 6, 8)
 TRACE_COLUMNS = ("step", "loss", "grad_norm", "lr")
@@ -66,6 +67,11 @@ class ExperimentSpec:
         for name, low in (("ranks", 1), ("iters", 1), ("niters", 0), ("adapter_rank", 1)):
             if np.min(getattr(self, name), initial=low) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        # The adapters wrap both toy layers, dim x hidden and hidden x CLASSES.
+        most = min(self.dim, self.hidden, CLASSES)
+        if self.adapter_rank > most:
+            raise ValueError(f"adapter_rank must be <= min(dim, hidden, classes) "
+                             f"= {most}, got {self.adapter_rank}")
         # TrainConfig's checks on the fine-tune settings, before any pretraining.
         TrainConfig(lr=self.lr, batch_size=self.batch_size, steps=self.steps)
 
@@ -166,12 +172,12 @@ def _rows_fastsvd(spec: ExperimentSpec) -> Iterator[dict]:
 
 def toy_pretrained(spec: ExperimentSpec, seed: int) -> tuple[MlpModel, Dataset]:
     """Pretrain the toy MLP on the odd classes; return it with the even half."""
-    dataset = generate_cluster_dataset(10, spec.dim, spec.per_class,
+    dataset = generate_cluster_dataset(CLASSES, spec.dim, spec.per_class,
                                        spec.noise_std, matrix_seed(seed))
     pre_mask = np.isin(dataset.labels, PRETRAIN_CLASSES)
     pre_cfg = TrainConfig(lr=1e-2, batch_size=spec.batch_size, steps=200,
                           seed=seed)
-    model = pretrain_mlp(dataset.subset(pre_mask), spec.hidden, 10, pre_cfg)
+    model = pretrain_mlp(dataset.subset(pre_mask), spec.hidden, CLASSES, pre_cfg)
     fine_mask = np.isin(dataset.labels, FINETUNE_CLASSES)
     return model, dataset.subset(fine_mask)
 

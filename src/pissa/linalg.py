@@ -113,9 +113,10 @@ TOLERANCE = 1e-10
 
 
 def relative_error(diff: np.ndarray, ref: np.ndarray) -> float:
-    """||diff||_F / max(1, ||ref||_F): relative to ref, absolute once
-    ||ref||_F < 1, and defined at ref = 0."""
-    return frobenius_norm(diff) / max(1.0, frobenius_norm(ref))
+    """||diff||_F / ||ref||_F, the same at every scale of ref; ||diff||_F
+    at ref = 0."""
+    d, r = frobenius_norm(diff), frobenius_norm(ref)
+    return d / r if r else d
 
 
 def _check_rank(w: np.ndarray, r: int) -> None:

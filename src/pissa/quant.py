@@ -67,6 +67,13 @@ class QuantizedMatrix:
     scales: np.ndarray   # float64, one per block
     block_size: int
 
+    def __post_init__(self):
+        if self.block_size < 1 or self.scales.size != math.ceil(
+                self.codes.size / self.block_size):
+            raise ValueError(
+                f"{self.scales.size} scales do not match {self.codes.size} "
+                f"entries in blocks of {self.block_size}")
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.codes.shape
@@ -109,14 +116,12 @@ def quantize(m: np.ndarray, cfg: QuantConfig = QuantConfig()) -> QuantizedMatrix
 def _entry_scales(q: QuantizedMatrix) -> np.ndarray:
     """Each entry's block scale, in one float per entry, rows x cols.
 
-    Only the last block can be ragged, so it is repeated just for the
-    entries it holds: no padding to whole blocks, however large the block
-    size (a PSQ4 header may claim one far larger than the matrix).
+    Whole blocks are repeated, so at most one block past the last entry is
+    formed, and none when one block holds the matrix, however large the
+    block size (a PSQ4 header may claim one far larger than the matrix).
     """
-    counts = np.full(q.scales.size, q.block_size)
-    if counts.size:
-        counts[-1] = q.codes.size - q.block_size * (counts.size - 1)
-    return np.repeat(q.scales, counts).reshape(q.shape)
+    size = q.codes.size
+    return np.repeat(q.scales, min(q.block_size, size))[:size].reshape(q.shape)
 
 
 def dequantize(q: QuantizedMatrix) -> np.ndarray:

@@ -55,8 +55,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("lr must be non-negative")
+        if not 0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be finite and non-negative, got {self.lr}")
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be at least 1")
 

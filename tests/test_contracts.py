@@ -2,12 +2,15 @@
 (relative_error within TOLERANCE) and the one quantized-layer scorer, seen
 from every entry point that applies them."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pissa import quant
 from pissa.adapter import (WINDOWS, lora_init, merge, pissa_init,
                            reconstruction_error, variant_init)
+from pissa.harness import generate_spectral_matrix
 from pissa.linalg import (TOLERANCE, RandomSource, frobenius_norm, leading_svd,
                           randomized_svd, relative_error)
 from pissa.quant import (QuantConfig, QuantizedMatrix, error_reduction_ratio,
@@ -91,11 +94,24 @@ class TestRelativeError:
         diff = np.array([[0.0, 1.5], [0.0, 0.0]])
         assert relative_error(diff, ref) == 0.25
 
-    def test_absolute_below_unit_norm(self):
-        # The floor of 1 on the denominator makes a small ref's error absolute.
+    def test_relative_below_unit_norm(self):
+        # No floor on the denominator: a small ref's error stays relative.
         ref = np.full((2, 2), 0.25)  # norm 0.5
         diff = np.array([[3.0, 4.0]])
-        assert relative_error(diff, ref) == 5.0 == frobenius_norm(diff)
+        assert relative_error(diff, ref) == 10.0
+
+    @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+    def test_reconstruction_contract_is_scale_free(self, s):
+        # A base entry moved by 1e-8 of the weight's scale is the same
+        # relative miss at every scale, so it fails the contract at each.
+        w0 = generate_spectral_matrix(16, 16, 1.0, 0)
+        w = s * w0
+        layer = pissa_init(w, 4)
+        base = layer.base.copy()
+        base[0, 0] += 1e-8 * s
+        err = reconstruction_error(w, replace(layer, base=base))
+        assert err > TOLERANCE
+        assert err == pytest.approx(1e-8 / frobenius_norm(w0), rel=1e-6)
 
     def test_defined_at_zero_reference(self):
         assert relative_error(np.array([[0.0, 2.0]]), np.zeros((3, 3))) == 2.0

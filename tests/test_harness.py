@@ -410,6 +410,10 @@ class TestExperiments:
         (["quant-bench", "--T", "0"], "iters"),
         (["fastsvd-bench", "--niter", "-1"], "niters"),
         (["converge", "--adapter-rank", "0"], "adapter_rank"),
+        # Layer 2 of the toy MLP is hidden x 10 classes.
+        (["converge", "--adapter-rank", "11"], "adapter_rank"),
+        (["converge", "--lr", "nan"], "lr"),
+        (["converge", "--lr", "inf"], "lr"),
     ])
     def test_bad_rank_or_count_rejected_before_any_work(
             self, tmp_path, capsys, monkeypatch, argv, field):

@@ -16,8 +16,8 @@ from pissa.harness.data import generate_spectral_matrix
 from pissa.harness.matrix_io import load_quantized, save_quantized
 from pissa.linalg import (RandomSource, ShapeError, exact_svd, frobenius_norm,
                           nuclear_norm)
-from pissa.quant import (NF4_LEVELS, QuantConfig, build_nf4_codebook,
-                         dequantize, distribution_diagnostics,
+from pissa.quant import (NF4_LEVELS, QuantConfig, QuantizedMatrix,
+                         build_nf4_codebook, dequantize, distribution_diagnostics,
                          error_reduction_ratio, loftq_init, qlora_error,
                          qlora_init, qpissa_init, quant_report,
                          quantization_error_bound, quantize)
@@ -146,6 +146,15 @@ class TestQuantizeDequantize:
         half_gap = np.max(np.diff(NF4_LEVELS)) / 2.0
         assert np.array_equal(quantization_error_bound(q).ravel(),
                               scale * half_gap + np.spacing(scale))
+
+    @pytest.mark.parametrize("nscales,block_size", [(2, 4), (4, 3), (4, 0)],
+                             ids=["missing_scales", "other_block_size", "zero_block_size"])
+    def test_scales_must_match_blocks(self, nscales, block_size):
+        # Scales for other blocks would dequantize without error, some
+        # entries by the wrong scale; the matrix refuses them when built.
+        q = quantize(RandomSource(5).normal((4, 4)), QuantConfig(block_size=4))
+        with pytest.raises(ValueError, match="scales do not match"):
+            QuantizedMatrix(q.codes, q.scales[:nscales], block_size)
 
     def test_block_larger_than_matrix_bounded_memory(self):
         # One float of scale per entry, not one per padded block slot: a
