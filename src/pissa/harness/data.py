@@ -23,8 +23,8 @@ def generate_spectral_matrix(m: int, n: int, alpha: float,
     Orthonormal factors come from thin QR of Gaussian matrices, so the
     output's exact SVD recovers the prescribed spectrum.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    if not alpha >= 0:  # NaN fails too
+        raise ValueError(f"alpha must be non-negative, got {alpha}")
     rng = RandomSource(seed)
     k = min(m, n)
     u, _ = qr_thin(rng.spawn(0).normal((m, k)))

@@ -39,7 +39,7 @@ class ExperimentSpec:
     n: int = 256
     ranks: tuple = (16,)
     iters: tuple = (1, 5)       # alternating-refinement counts for quantized inits
-    niters: tuple = (1, 16)     # subspace iterations for the randomized SVD
+    niters: tuple = (1, 16)     # Krylov depths (block count - 1) for the randomized SVD
     seeds: tuple = tuple(range(10))
     alpha: float = 1.0
     block_size: int = 64
@@ -62,6 +62,8 @@ class ExperimentSpec:
         unknown = [s for s in self.strategies if s not in STRATEGIES]
         if unknown:
             raise ValueError(f"unknown init strategy: {', '.join(unknown)}")
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if any(r > min(self.m, self.n) for r in self.ranks):
             raise ValueError("rank exceeds min(m, n)")
         for name, low in (("ranks", 1), ("iters", 1), ("niters", 0), ("adapter_rank", 1)):

@@ -4,7 +4,7 @@ All routines operate on 2-D float64 numpy arrays ("matrices") and are pure
 functions of their inputs. The exact SVD is the accuracy reference for the
 rest of the package; the leading SVD gives its top r triplets from the
 Gram eigenproblem without a full SVD; the randomized SVD trades accuracy
-for speed via Gaussian range finding with subspace iteration.
+for speed via a Gaussian block Krylov range finder.
 """
 
 from __future__ import annotations
@@ -352,26 +352,46 @@ def qr_thin(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.qr(m, mode="reduced")
 
 
-# Extra Gaussian test vectors the range finder draws beyond the rank.
-_OVERSAMPLE = 10
-
-
 def randomized_svd(w: np.ndarray, r: int, niter: int,
                    rng: RandomSource) -> SvdFactors:
-    """Truncated rank-r SVD via Gaussian range finding plus subspace iteration.
+    """Truncated rank-r SVD from a Gaussian block Krylov range finder.
 
-    ``niter`` subspace iterations refine the range basis; larger values give
-    smaller approximation error at higher cost. The basis ends in
-    leading_svd's Ritz step, with no fallback. Deterministic given ``rng``.
+    The basis spans W Omega, (W W^T) W Omega, ..., (W W^T)^q W Omega for a
+    Gaussian n x r Omega and the Krylov depth q = ``niter``, in the 2q + 1
+    passes over w of q subspace iterations. Block width r: at rank 16 and
+    niter 4 at 1024^2 on 2 vCPUs, r took 36 ms and r + 2 (more accurate)
+    40 ms, as long as subspace iteration with 10 extra columns (39 ms).
+    Each new block, w (w^T Q) for the last block Q, is projected twice off
+    the earlier blocks, QR'd and projected once more. Deflation drops a
+    column that the two projections shrink below 1e-10 of its norm (w has
+    exact rank); no block follows once none survives or the basis has
+    min(m, n) columns (the last block cut to fit), where the Ritz step
+    (leading_svd's, with no fallback) is the exact SVD. Deterministic given
+    ``rng``.
     """
     w = as_matrix(w)
     _check_rank(w, r)
     if niter < 0:
         raise ValueError("niter must be non-negative")
-    k = min(*w.shape, r + _OVERSAMPLE)
-    omega = rng.normal((w.shape[1], k))
-    q, _ = qr_thin(w @ omega)
+    # One buffer for all blocks: a new, wider array per block left heap holes
+    # that lifted peak RSS by 8 MB in a 1024^2 run.
+    basis = np.empty((w.shape[0], min(*w.shape, r * (niter + 1))))
+    q, _ = qr_thin(w @ rng.normal((w.shape[1], r)))
+    basis[:, :r], k = q, r
     for _ in range(niter):
-        z, _ = qr_thin(w.T @ q)
-        q, _ = qr_thin(w @ z)
-    return _ritz(w.T, q, swap=True).truncate(r)
+        # w (w^T q), taken as ((q^T w) w^T)^T: with w^T on the left OpenBLAS
+        # ran this pass 2x slower (2048^2, 16 columns, 2 vCPUs).
+        z = ((q.T @ w) @ w.T).T
+        before = np.linalg.norm(z, axis=0)
+        done = basis[:, :k]
+        for _ in range(2):
+            z -= done @ (done.T @ z)
+        # Deflate, then cut to the columns left: a full basis ends the loop too.
+        z = z[:, np.linalg.norm(z, axis=0) > 1e-10 * before][:, :basis.shape[1] - k]
+        if not z.shape[1]:
+            break
+        q, _ = qr_thin(z)
+        q -= done @ (done.T @ q)
+        basis[:, k:k + q.shape[1]] = q
+        k += q.shape[1]
+    return _ritz(w.T, basis[:, :k], swap=True).truncate(r)

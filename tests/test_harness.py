@@ -53,6 +53,10 @@ class TestSpectralMatrix:
         with pytest.raises(ValueError):
             generate_spectral_matrix(4, 4, -1.0, 0)
 
+    def test_nan_alpha_rejected(self):
+        with pytest.raises(ValueError, match="alpha"):
+            generate_spectral_matrix(4, 4, float("nan"), 0)
+
 
 class TestClusterDataset:
     def test_shapes_and_determinism(self):
@@ -414,6 +418,9 @@ class TestExperiments:
         (["converge", "--adapter-rank", "11"], "adapter_rank"),
         (["converge", "--lr", "nan"], "lr"),
         (["converge", "--lr", "inf"], "lr"),
+        (["quant-bench", "--alpha", "nan"], "alpha"),
+        (["fastsvd-bench", "--alpha", "inf"], "alpha"),
+        (["fastsvd-bench", "--alpha", "-1"], "alpha"),
     ])
     def test_bad_rank_or_count_rejected_before_any_work(
             self, tmp_path, capsys, monkeypatch, argv, field):

@@ -549,6 +549,62 @@ class TestRandomizedSvd:
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("shape,r", [((128, 128), 16), ((64, 48), 4), ((48, 64), 5)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ritz_values_never_shrink_with_depth(self, shape, r, seed):
+        # For one draw the Krylov spaces are nested, so by Cauchy interlacing
+        # each Ritz value can only grow with niter.
+        w = generate_spectral_matrix(*shape, 1.0, 100 + seed)
+        s = [randomized_svd(w, r, niter, RandomSource(seed)).s for niter in range(10)]
+        for low, high in zip(s, s[1:]):
+            assert np.all(high >= low * (1 - 1e-12)), (low, high)
+
+    @staticmethod
+    def _assert_exact_triplets(w, r, niter):
+        fast = randomized_svd(w, r, niter, RandomSource(3))
+        ref = exact_svd(w).truncate(r)
+        for got, want in ((fast.u, ref.u), (fast.s, ref.s), (fast.v, ref.v)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        for f in (fast.u, fast.v):
+            np.testing.assert_allclose(f.T @ f, np.eye(r), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("niter", [1, 4])
+    def test_rank_one_past_its_rank(self, niter):
+        u = RandomSource(0).normal((10, 1))
+        v = RandomSource(1).normal((7, 1))
+        self._assert_exact_triplets(u @ v.T, 1, niter)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_diagonal_with_a_zero_past_its_rank(self, r):
+        # The blocks after the first span nothing new in w's range (rank 3);
+        # without deflation their noise columns corrupted the top value.
+        self._assert_exact_triplets(np.diag([3.0, 2.0, 1.0, 0.0]), r, 4)
+
+    @pytest.mark.parametrize("r", [1, 2, 5])
+    @pytest.mark.parametrize("shape", [(40, 24), (24, 40), (30, 30)],
+                             ids=["tall", "wide", "square"])
+    def test_rank_five_past_its_rank(self, shape, r, monkeypatch):
+        u, _ = np.linalg.qr(RandomSource(1).normal((shape[0], 5)))
+        v, _ = np.linalg.qr(RandomSource(2).normal((shape[1], 5)))
+        widths = []
+        monkeypatch.setattr(linalg, "qr_thin",
+                            lambda m, qr=linalg.qr_thin: widths.append(m.shape[1]) or qr(m))
+        self._assert_exact_triplets((u * [9.0, 7.0, 5.0, 3.0, 1.0]) @ v.T, r, 8)
+        # Once the blocks span the rank-5 range, the next one is deflated
+        # away and no block follows.
+        assert widths == [r] * -(-5 // r)
+
+    @pytest.mark.parametrize("shape,r,niter", [((64, 48), 4, 16), ((48, 64), 4, 11),
+                                                ((40, 40), 7, 8), ((30, 20), 3, 19)])
+    def test_full_basis_is_exact_svd(self, shape, r, niter):
+        # The basis stops at min(m, n) columns, where the Ritz step is the
+        # exact SVD.
+        w = generate_spectral_matrix(*shape, 1.0, 7)
+        fast = randomized_svd(w, r, niter, RandomSource(3))
+        ref = exact_svd(w).truncate(r)
+        for got, want in ((fast.u, ref.u), (fast.s, ref.s), (fast.v, ref.v)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_rank_out_of_range(self):
         w = RandomSource(0).normal((4, 4))
         with pytest.raises(ValueError):
