@@ -170,18 +170,6 @@ def exact_svd(w: np.ndarray) -> SvdFactors:
     return factors
 
 
-def _ritz(t: np.ndarray, basis: np.ndarray, swap: bool) -> SvdFactors:
-    """Rayleigh-Ritz step: w's signed triplets within span(basis), from the
-    exact SVD of the thin product t @ basis. t is w, or w^T (swap) when the
-    basis spans w's column space; the signs are fixed once, on w's u."""
-    small = exact_svd(t @ basis)
-    u, v = small.u, basis @ small.v
-    if swap:
-        u, v = v, u
-    u, v = _fix_signs(u, v)
-    return SvdFactors(u, small.s, v)
-
-
 def _bind(name: str, *argtypes):
     """LAPACKE name (int64 integers) from numpy's OpenBLAS, or None if absent."""
     try:
@@ -318,22 +306,72 @@ def nuclear_norm(m: np.ndarray) -> float:
     return total
 
 
+# _cholesky_qr2's bounds. CholeskyQR2 is proven stable for cond(p) up to
+# about eps^-1/2 (6.7e7); the spread of the Cholesky factor's diagonal is a
+# lower bound on cond(p), so a wider spread gives up, as does a q with
+# max |q^T q - I| above 1e-14 (measured within 1e-15 up to 2048 x 80).
+_COND_MAX = np.finfo(np.float64).eps ** -0.5
+_ORTH_TOL = 1e-14
+
+
+def _cholesky_qr2(p: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Thin QR of the tall matrix p by CholeskyQR2: the Gram matrix, its
+    Cholesky factor R and p R^-1, all taken twice, as BLAS-3 products
+    (Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, ScalA 2014). p is scaled
+    as _gram scales it. (q, r) with p = q r up to rounding, or None when a
+    Cholesky factorization fails or misses _COND_MAX (as for a rank-deficient
+    p), or q misses _ORTH_TOL."""
+    q, gram, e = _gram(p)
+    r = np.ldexp(np.eye(p.shape[1]), e)
+    try:
+        for _ in range(2):
+            low = np.linalg.cholesky(gram)
+            diag = np.diagonal(low)
+            # NaN (from an overflowed Gram matrix) fails the comparisons, too.
+            if not diag.max() <= _COND_MAX * diag.min():
+                return None
+            q, r = q @ np.linalg.inv(low).T, low.T @ r
+            gram = q.T @ q
+    except np.linalg.LinAlgError:
+        return None
+    gram[np.diag_indices_from(gram)] -= 1.0
+    return (q, r) if np.max(np.abs(gram)) <= _ORTH_TOL else None
+
+
+def _ritz(p: np.ndarray, basis: np.ndarray, swap: bool) -> SvdFactors:
+    """Rayleigh-Ritz step: w's signed triplets within span(basis), from the
+    thin product p = w @ basis, or p = w^T @ basis (swap) when the basis
+    spans w's column space. p's SVD is taken as the exact SVD of the small
+    factor r of its CholeskyQR2 p = q r, with q mapping the left vectors
+    back, or as exact_svd(p) when _cholesky_qr2 gives up. The signs are
+    fixed once, on w's u."""
+    q, r = _cholesky_qr2(p) or (None, p)
+    small = exact_svd(r)
+    u, v = (small.u if q is None else q @ small.u), basis @ small.v
+    if swap:
+        u, v = v, u
+    u, v = _fix_signs(u, v)
+    return SvdFactors(u, small.s, v)
+
+
 def leading_svd(w: np.ndarray, r: int) -> SvdFactors:
     """Top r singular triplets: exact_svd(w).truncate(r) up to rounding.
 
     The basis comes from the top r eigenvectors of the Gram matrix of w's
-    shorter side (_gram_basis), and one Rayleigh-Ritz step (the exact SVD
-    of the tall r-column product) turns it into singular triplets, so no
-    full m x n SVD is taken. The one fallback, exact_svd(w).truncate(r), runs
+    shorter side (_gram_basis), and one Rayleigh-Ritz step on the tall
+    r-column product (_ritz) turns it into singular triplets, so no full
+    m x n SVD is taken. The one fallback, exact_svd(w).truncate(r), runs
     when dsyevr is unbound or fails or relative_error(w^T u - v s, w) > TOLERANCE.
     """
     w = as_matrix(w)
     _check_rank(w, r)
     wide = w.shape[0] < w.shape[1]
-    t = w.T if wide else w
-    basis = _gram_basis(t, r)
-    f = None if basis is None else _ritz(t, basis, swap=wide)
-    if f is None or relative_error(w.T @ f.u - f.v * f.s, w) > TOLERANCE:
+    basis = _gram_basis(w.T if wide else w, r)
+    # w^T @ basis and w^T @ u are taken as (basis^T w)^T and (u^T w)^T: with
+    # w^T on the left OpenBLAS ran these products up to 3x slower.
+    f = None if basis is None else _ritz((basis.T @ w).T if wide else w @ basis,
+                                         basis, swap=wide)
+    if f is None or relative_error((f.u.T @ w).T - f.v * f.s, w) > TOLERANCE:
         return exact_svd(w).truncate(r)
     return f
 
@@ -357,41 +395,48 @@ def randomized_svd(w: np.ndarray, r: int, niter: int,
     """Truncated rank-r SVD from a Gaussian block Krylov range finder.
 
     The basis spans W Omega, (W W^T) W Omega, ..., (W W^T)^q W Omega for a
-    Gaussian n x r Omega and the Krylov depth q = ``niter``, in the 2q + 1
-    passes over w of q subspace iterations. Block width r: at rank 16 and
-    niter 4 at 1024^2 on 2 vCPUs, r took 36 ms and r + 2 (more accurate)
-    40 ms, as long as subspace iteration with 10 extra columns (39 ms).
-    Each new block, w (w^T Q) for the last block Q, is projected twice off
-    the earlier blocks, QR'd and projected once more. Deflation drops a
-    column that the two projections shrink below 1e-10 of its norm (w has
-    exact rank); no block follows once none survives or the basis has
-    min(m, n) columns (the last block cut to fit), where the Ritz step
-    (leading_svd's, with no fallback) is the exact SVD. Deterministic given
-    ``rng``.
+    Gaussian n x r Omega and the Krylov depth q = ``niter``, in 2q + 2
+    passes over w with a block of columns each. Block width r: at rank 16
+    and niter 4 at 1024^2 on 2 vCPUs, r took 25 ms and r + 2 (more
+    accurate) 30 ms, as long as subspace iteration with 10 extra columns
+    (30 ms). Each new block, w (w^T Q) for the last block Q, is projected
+    twice off the earlier blocks, QR'd and projected once more. Deflation
+    drops a column that the two projections shrink below 1e-10 of its norm
+    (w has exact rank); no block follows once none survives or the basis
+    has min(m, n) columns (the last block cut to fit), where the Ritz step
+    (leading_svd's; no fallback of its own here) is the exact SVD. The
+    Ritz step's product w^T basis is the blocks' Q^T w, which the passes
+    take anyway. Deterministic given ``rng``.
     """
     w = as_matrix(w)
     _check_rank(w, r)
     if niter < 0:
         raise ValueError("niter must be non-negative")
     # One buffer for all blocks: a new, wider array per block left heap holes
-    # that lifted peak RSS by 8 MB in a 1024^2 run.
-    basis = np.empty((w.shape[0], min(*w.shape, r * (niter + 1))))
+    # that lifted peak RSS by 8 MB in a 1024^2 run. Row block j of rows is
+    # block j's q^T w: the next pass starts from it, and together the rows
+    # are the Ritz step's product, so that step takes no pass of its own.
+    width = min(*w.shape, r * (niter + 1))
+    basis, rows = np.empty((w.shape[0], width)), np.empty((width, w.shape[1]))
     q, _ = qr_thin(w @ rng.normal((w.shape[1], r)))
     basis[:, :r], k = q, r
-    for _ in range(niter):
+    for depth in range(niter + 1):
+        rows[k - q.shape[1]:k] = qtw = q.T @ w
+        if depth == niter:
+            break
         # w (w^T q), taken as ((q^T w) w^T)^T: with w^T on the left OpenBLAS
         # ran this pass 2x slower (2048^2, 16 columns, 2 vCPUs).
-        z = ((q.T @ w) @ w.T).T
+        z = (qtw @ w.T).T
         before = np.linalg.norm(z, axis=0)
         done = basis[:, :k]
         for _ in range(2):
             z -= done @ (done.T @ z)
         # Deflate, then cut to the columns left: a full basis ends the loop too.
-        z = z[:, np.linalg.norm(z, axis=0) > 1e-10 * before][:, :basis.shape[1] - k]
+        z = z[:, np.linalg.norm(z, axis=0) > 1e-10 * before][:, :width - k]
         if not z.shape[1]:
             break
         q, _ = qr_thin(z)
         q -= done @ (done.T @ q)
         basis[:, k:k + q.shape[1]] = q
         k += q.shape[1]
-    return _ritz(w.T, basis[:, :k], swap=True).truncate(r)
+    return _ritz(rows[:k].T, basis[:, :k], swap=True).truncate(r)

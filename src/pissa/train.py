@@ -138,12 +138,18 @@ def model_forward_backward(model: MlpModel, x: np.ndarray, labels: np.ndarray,
     With adapters injected only (A, B) of each layer and the biases receive
     gradients; the frozen bases are never touched. For a plain-matrix model
     (pretraining) the full weight gradients are returned instead. A quantized
-    base is dequantized on every call; train_model and gradcheck pass a
-    view whose bases are already dense. x_base1, if given, is x times the
+    base is dequantized on every call; train_model and gradcheck call the
+    core, _forward_backward, on a view whose bases are already dense and on
+    an x they checked once, not per call. x_base1, if given, is x times the
     adapter layer 1's base and stands in for that product: train_model takes
     it once per run, since the base and the data do not change.
     """
-    x = as_matrix(x)
+    return _forward_backward(model, as_matrix(x), labels, x_base1)
+
+
+def _forward_backward(model: MlpModel, x: np.ndarray, labels: np.ndarray,
+                      x_base1: np.ndarray | None = None):
+    # model_forward_backward without its NaN/Inf pass over x.
     pre = _layer_product(model.layer1, x, x_base=x_base1) + model.bias1
     h = np.maximum(pre, 0.0)
     logits = _layer_product(model.layer2, h) + model.bias2
@@ -291,7 +297,7 @@ def train_model(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> TrainTra
             idx = gen.integers(0, n, size=cfg.batch_size)
             xb, yb = dataset.features[idx], dataset.labels[idx]
             xb_base1 = None if x_base1 is None else x_base1[idx]
-        loss, grads = model_forward_backward(view, xb, yb, xb_base1)
+        loss, grads = _forward_backward(view, xb, yb, xb_base1)
         if not math.isfinite(loss):
             raise DivergenceError(step)
         lr_t = cosine_warmup_lr(step, cfg)
@@ -352,9 +358,9 @@ def gradcheck(model: MlpModel, x: np.ndarray, labels: np.ndarray,
         x += 1e-3
 
     def loss_at() -> float:
-        return model_forward_backward(view, x, labels)[0]
+        return _forward_backward(view, x, labels)[0]
 
-    _, grads = model_forward_backward(view, x, labels)
+    _, grads = _forward_backward(view, x, labels)
     arrays = {
         "l1.a": model.layer1.adapter.a, "l1.b": model.layer1.adapter.b,
         "l2.a": model.layer2.adapter.a, "l2.b": model.layer2.adapter.b,

@@ -613,6 +613,111 @@ class TestRandomizedSvd:
             randomized_svd(w, 0, 1, RandomSource(0))
 
 
+def _ritz_inputs(shape, swap, k=12):
+    # A Ritz step's (product, basis) as its callers form them: for swap the
+    # basis spans w's column space and the product is w^T basis.
+    w = generate_spectral_matrix(*shape, 1.0, 5)
+    side = w.shape[0] if swap else w.shape[1]
+    basis, _ = np.linalg.qr(RandomSource(6).normal((side, k)))
+    return ((basis.T @ w).T if swap else w @ basis), basis
+
+
+def _spy(monkeypatch, name):
+    # Record each call's return value of linalg.<name>.
+    seen, fn = [], getattr(linalg, name)
+    monkeypatch.setattr(linalg, name, lambda *a: seen.append(fn(*a)) or seen[-1])
+    return seen
+
+
+RITZ_SHAPES = {"tall": ((60, 40), False), "wide": ((40, 60), True),
+               "square": ((48, 48), True)}
+
+
+class TestCholeskyQr2Ritz:
+    @pytest.mark.parametrize("case", RITZ_SHAPES)
+    def test_fast_path_matches_exact_svd_of_product(self, case, monkeypatch):
+        p, basis = _ritz_inputs(*RITZ_SHAPES[case])
+        fast = linalg._ritz(p, basis, RITZ_SHAPES[case][1])
+        monkeypatch.setattr(linalg, "_cholesky_qr2", lambda p: None)
+        ref = linalg._ritz(p, basis, RITZ_SHAPES[case][1])
+        np.testing.assert_allclose(fast.s, ref.s, rtol=1e-13, atol=0)
+        for got, want in ((fast.u, ref.u), (fast.v, ref.v)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(got.T @ got, np.eye(12), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+    def test_helper_factors_the_product(self, scale):
+        # Outside the Gram product's range p is scaled as _gram scales it.
+        p = scale * _ritz_inputs((60, 40), False)[0]
+        q, r = linalg._cholesky_qr2(p)
+        np.testing.assert_allclose(q.T @ q, np.eye(12), rtol=0, atol=1e-14)
+        assert np.array_equal(r, np.triu(r))
+        assert linalg.relative_error(q @ r - p, p) <= 1e-14
+
+    def test_missed_orthogonality_bound_gives_up(self, monkeypatch):
+        p = _ritz_inputs((60, 40), False)[0]
+        monkeypatch.setattr(linalg, "_ORTH_TOL", 0.0)
+        assert linalg._cholesky_qr2(p) is None
+
+    def test_failed_cholesky_takes_exact_svd_of_product(self, monkeypatch):
+        p, basis = _ritz_inputs((60, 40), False)
+        ref = linalg._ritz(p, basis, False)
+
+        def fail(g):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        svds = []
+        monkeypatch.setattr(linalg, "exact_svd",
+                            lambda a, svd=linalg.exact_svd: svds.append(a) or svd(a))
+        f = linalg._ritz(p, basis, False)
+        assert len(svds) == 1 and svds[0] is p
+        np.testing.assert_allclose(f.s, ref.s, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(f.reconstruct(), ref.reconstruct(), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("shape", [(30, 30), (40, 24), (24, 40)])
+    def test_rank_deficient_product_takes_exact_svd(self, shape, monkeypatch):
+        # Rank 5 asked for 8: the first block holds three directions outside
+        # w's range, so the product w^T basis has rank 5 and no Cholesky factor.
+        u, _ = np.linalg.qr(RandomSource(1).normal((shape[0], 5)))
+        v, _ = np.linalg.qr(RandomSource(2).normal((shape[1], 5)))
+        w = (u * [9.0, 7.0, 5.0, 3.0, 1.0]) @ v.T
+        helper = _spy(monkeypatch, "_cholesky_qr2")
+        f = randomized_svd(w, 8, 2, RandomSource(3))
+        assert helper == [None]
+        ref = exact_svd(w).truncate(8)
+        np.testing.assert_allclose(f.s, ref.s, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(f.reconstruct(), w, rtol=0, atol=1e-12)
+        for g in (f.u, f.v):
+            np.testing.assert_allclose(g.T @ g, np.eye(8), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(96, 64), (64, 96)])
+    @pytest.mark.parametrize("fast", ["randomized", "leading"])
+    def test_no_thin_svd_on_spectral_matrices(self, shape, fast, monkeypatch):
+        # The fast path runs: np.linalg.svd sees only the small k x k factor.
+        w = generate_spectral_matrix(*shape, 1.0, 0)
+        ref, svd = exact_svd(w).truncate(8), np.linalg.svd
+
+        def square_only(a, *args, **kwargs):
+            if a.shape[0] != a.shape[1]:
+                raise AssertionError(f"SVD of a {a.shape} matrix")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", square_only)
+        helper = _spy(monkeypatch, "_cholesky_qr2")
+        f = (randomized_svd(w, 8, 2, RandomSource(0)) if fast == "randomized"
+             else leading_svd(w, 8))
+        assert len(helper) == 1 and helper[0] is not None
+        rtol = 1e-2 if fast == "randomized" else 1e-12
+        np.testing.assert_allclose(f.s, ref.s, rtol=rtol, atol=0)
+
+    @pytest.mark.parametrize("niter", [0, 2, 4])
+    def test_randomized_svd_replays_bit_for_bit(self, niter):
+        w = generate_spectral_matrix(80, 64, 1.0, 4)
+        a, b = (randomized_svd(w, 8, niter, RandomSource(9)) for _ in range(2))
+        _assert_same_bits(a, b)
+
+
 class TestRandomSource:
     def test_determinism(self):
         a = RandomSource(42).normal((5, 5))

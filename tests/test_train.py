@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pissa.quant
+import pissa.train
 from pissa.adapter import adapter_gradients, merge
 from pissa.linalg import RandomSource
 from pissa.quant import QuantizedMatrix
@@ -89,6 +90,29 @@ class TestModelForwardBackward:
         x = RandomSource(5).normal((3, 6))
         labels = [0, 2, 1]
         assert gradcheck(model, x, labels, eps=1e-5) <= 1e-4
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_batch_rejected(self, bad):
+        model = inject_adapters(toy_model(), 2, "pissa", RandomSource(1))
+        x = RandomSource(0).normal((3, 6))
+        x[1, 2] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            model_forward_backward(model, x, [0, 1, 2])
+
+    @pytest.mark.parametrize("strategy,batch_size", [(None, 8), ("pissa", 8),
+                                                     ("qpissa", 64)])
+    def test_training_steps_skip_the_finiteness_pass(self, monkeypatch, strategy,
+                                                     batch_size):
+        # Dataset checked its features once; no step checks its batch again.
+        model = toy_model()
+        if strategy:
+            model = inject_adapters(model, 2, strategy, RandomSource(1))
+        data = toy_dataset()
+        calls = []
+        monkeypatch.setattr(pissa.train, "as_matrix",
+                            lambda x, check=pissa.train.as_matrix: calls.append(1) or check(x))
+        train_model(model, data, TrainConfig(batch_size=batch_size, steps=5))
+        assert calls == []
 
 
 def merged_adapter_gradients(x, d_y, adapter):
