@@ -3,9 +3,10 @@
 A DecomposedLayer pairs a frozen base matrix (full precision or quantized)
 with a trainable rank-r adapter (A, B). Initializers cover the Gaussian/zero
 baseline and the SVD split of any window of singular components named in
-WINDOWS: principal (PiSSA), medium or minor. The forward pass, analytic
-gradients, merging, and the lossless conversion of a trained adapter into a
-delta on the original weights live here too.
+WINDOWS: principal (PiSSA), medium or minor. The one layer product (for
+inference, training and gradcheck), analytic gradients, merging, and the
+lossless conversion of a trained adapter into a delta on the original
+weights live here too.
 """
 
 from __future__ import annotations
@@ -150,12 +151,21 @@ def variant_init(w: np.ndarray, r: int, window: str) -> DecomposedLayer:
     return DecomposedLayer(base=w - pair.a @ pair.b, adapter=pair, origin=window)
 
 
-def _factored(x: np.ndarray, x_base: np.ndarray, a: np.ndarray, b: np.ndarray,
-              scale: float) -> np.ndarray:
-    # X W for W = base + scale A B, given x_base = X base, never forming W.
-    # Unchecked, so a diverged (non-finite) activation flows through to the
-    # training loss. With (dY base.T, b.T, a.T) it gives the input gradient dY W^T.
-    return x_base + scale * ((x @ a) @ b)
+def _layer_product(layer, x: np.ndarray, transpose: bool = False,
+                   x_base: np.ndarray | None = None) -> np.ndarray:
+    """x W, or x W^T, for a plain matrix W or a DecomposedLayer, whose
+    W = base + scale A B is never formed: x base + scale (x A) B, or
+    x base^T + scale (x B^T) A^T, with rank-r intermediates. x_base, if given,
+    is x base (x base^T when transposed), taken ahead by the caller.
+    Unchecked, so a diverged (non-finite) activation reaches the training loss.
+    """
+    if not isinstance(layer, DecomposedLayer):
+        return x @ (layer.T if transpose else layer)
+    p = layer.adapter
+    a, b = (p.b.T, p.a.T) if transpose else (p.a, p.b)
+    if x_base is None:
+        x_base = x @ (dense_base(layer).T if transpose else dense_base(layer))
+    return x_base + p.scale * ((x @ a) @ b)
 
 
 def forward(layer: DecomposedLayer, x: np.ndarray) -> np.ndarray:
@@ -163,8 +173,7 @@ def forward(layer: DecomposedLayer, x: np.ndarray) -> np.ndarray:
     x = as_matrix(x)
     if x.shape[1] != layer.shape[0]:
         raise ShapeError(f"input cols {x.shape[1]} != layer rows {layer.shape[0]}")
-    p = layer.adapter
-    return _factored(x, x @ dense_base(layer), p.a, p.b, p.scale)
+    return _layer_product(layer, x)
 
 
 def adapter_gradients(x: np.ndarray, d_y: np.ndarray,

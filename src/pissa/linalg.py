@@ -361,7 +361,9 @@ def leading_svd(w: np.ndarray, r: int) -> SvdFactors:
     shorter side (_gram_basis), and one Rayleigh-Ritz step on the tall
     r-column product (_ritz) turns it into singular triplets, so no full
     m x n SVD is taken. The one fallback, exact_svd(w).truncate(r), runs
-    when dsyevr is unbound or fails or relative_error(w^T u - v s, w) > TOLERANCE.
+    when dsyevr is unbound or fails or the residual that the Ritz step does
+    not zero for any basis, w^T u - v s (tall or square w) or w v - u s
+    (wide w), has a relative_error above TOLERANCE.
     """
     w = as_matrix(w)
     _check_rank(w, r)
@@ -371,7 +373,8 @@ def leading_svd(w: np.ndarray, r: int) -> SvdFactors:
     # w^T on the left OpenBLAS ran these products up to 3x slower.
     f = None if basis is None else _ritz((basis.T @ w).T if wide else w @ basis,
                                          basis, swap=wide)
-    if f is None or relative_error((f.u.T @ w).T - f.v * f.s, w) > TOLERANCE:
+    if f is None or relative_error(w @ f.v - f.u * f.s if wide
+                                   else (f.u.T @ w).T - f.v * f.s, w) > TOLERANCE:
         return exact_svd(w).truncate(r)
     return f
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adapter import (WINDOWS, DecomposedLayer, _factored, adapter_gradients,
+from .adapter import (WINDOWS, DecomposedLayer, _layer_product, adapter_gradients,
                       dense_base, lora_init, variant_init)
-from .linalg import RandomSource, ShapeError, as_matrix
+from .linalg import NumericalError, RandomSource, ShapeError, as_matrix
 from .quant import QuantConfig, loftq_init, qlora_init, qpissa_init
 
 
@@ -100,24 +100,6 @@ def cross_entropy_with_grad(logits: np.ndarray,
     return loss, probs / b
 
 
-def _layer_product(layer, x: np.ndarray, transpose: bool = False,
-                   x_base: np.ndarray | None = None) -> np.ndarray:
-    """x W, or x W^T, for a plain matrix W or an adapter layer.
-
-    An adapter layer's W = base + scale A B is never formed: the product is
-    taken in factored form, with rank-r intermediates. x_base, if given, is
-    x base, taken ahead by the caller.
-    """
-    if not isinstance(layer, DecomposedLayer):
-        return x @ (layer.T if transpose else layer)
-    p = layer.adapter
-    if transpose:
-        return _factored(x, x @ dense_base(layer).T, p.b.T, p.a.T, p.scale)
-    if x_base is None:
-        x_base = x @ dense_base(layer)
-    return _factored(x, x_base, p.a, p.b, p.scale)
-
-
 def _dense_view(model: MlpModel) -> MlpModel:
     """The model with each frozen base dequantized once, for a whole run.
 
@@ -131,8 +113,7 @@ def _dense_view(model: MlpModel) -> MlpModel:
                    layer2=replace(model.layer2, base=dense_base(model.layer2)))
 
 
-def model_forward_backward(model: MlpModel, x: np.ndarray, labels: np.ndarray,
-                           x_base1: np.ndarray | None = None):
+def model_forward_backward(model: MlpModel, x: np.ndarray, labels: np.ndarray):
     """Loss plus gradients for every trainable parameter.
 
     With adapters injected only (A, B) of each layer and the biases receive
@@ -140,16 +121,16 @@ def model_forward_backward(model: MlpModel, x: np.ndarray, labels: np.ndarray,
     (pretraining) the full weight gradients are returned instead. A quantized
     base is dequantized on every call; train_model and gradcheck call the
     core, _forward_backward, on a view whose bases are already dense and on
-    an x they checked once, not per call. x_base1, if given, is x times the
-    adapter layer 1's base and stands in for that product: train_model takes
-    it once per run, since the base and the data do not change.
+    an x they checked once, not per call.
     """
-    return _forward_backward(model, as_matrix(x), labels, x_base1)
+    return _forward_backward(model, as_matrix(x), labels)
 
 
 def _forward_backward(model: MlpModel, x: np.ndarray, labels: np.ndarray,
                       x_base1: np.ndarray | None = None):
-    # model_forward_backward without its NaN/Inf pass over x.
+    # model_forward_backward without its NaN/Inf pass over x. x_base1, if
+    # given, is x times the adapter layer 1's base: train_model takes it once
+    # per run, since the base and the data do not change.
     pre = _layer_product(model.layer1, x, x_base=x_base1) + model.bias1
     h = np.maximum(pre, 0.0)
     logits = _layer_product(model.layer2, h) + model.bias2
@@ -343,10 +324,10 @@ def gradcheck(model: MlpModel, x: np.ndarray, labels: np.ndarray,
     While any hidden pre-activation of the batch sits within 1e-3 of the
     rectifier kink, the whole batch x is shifted by 1e-3, at most 8 times;
     the differences are taken on the last shift whether or not it cleared
-    the kink.
+    the kink. A non-finite loss or analytic gradient raises NumericalError.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:  # also rejects NaN
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if not model.has_adapters:
         raise ValueError("gradcheck expects an adapter-injected model")
     x = as_matrix(x).copy()
@@ -381,5 +362,8 @@ def gradcheck(model: MlpModel, x: np.ndarray, labels: np.ndarray,
             # Floor keeps difference roundoff (~1e-11 absolute) from
             # dominating when both gradients are essentially zero.
             denom = max(abs(analytic[ij]), abs(numeric), 1e-6)
-            worst = max(worst, abs(analytic[ij] - numeric) / denom)
+            err = abs(analytic[ij] - numeric) / denom
+            if not math.isfinite(err):  # max() would drop a NaN
+                raise NumericalError(f"non-finite loss or {key} gradient at {ij}")
+            worst = max(worst, err)
     return worst

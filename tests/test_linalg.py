@@ -397,8 +397,10 @@ class TestLeadingSvd:
         else:
             assert (np.abs(err) <= quantization_error_bound(layer.base)).all()
 
-    def test_bad_basis_falls_back_to_exact_svd(self, monkeypatch):
-        w = generate_spectral_matrix(30, 20, 1.0, 8)
+    # Wide input checks w v - u s: its Ritz step zeroes w^T u - v s for any basis.
+    @pytest.mark.parametrize("m, n", [(30, 20), (20, 30)])
+    def test_bad_basis_falls_back_to_exact_svd(self, monkeypatch, m, n):
+        w = generate_spectral_matrix(m, n, 1.0, 8)
         ref = exact_svd(w).truncate(5)
 
         def bad_basis(t, r):

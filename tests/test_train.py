@@ -7,7 +7,7 @@ import pytest
 import pissa.quant
 import pissa.train
 from pissa.adapter import adapter_gradients, merge
-from pissa.linalg import RandomSource
+from pissa.linalg import NumericalError, RandomSource
 from pissa.quant import QuantizedMatrix
 from pissa.train import (WARMUP_RATIO, AdamState, Dataset, DivergenceError,
                          MlpModel, TrainConfig, adamw_step, adapter_grad_norm,
@@ -480,8 +480,16 @@ class TestGradcheck:
 
     def test_bad_eps(self):
         model = inject_adapters(toy_model(), 2, "pissa", RandomSource(0))
-        with pytest.raises(ValueError):
-            gradcheck(model, np.zeros((2, 6)), [0, 1], eps=0.0)
+        for eps in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                gradcheck(model, np.zeros((2, 6)), [0, 1], eps=eps)
+
+    def test_nan_adapter_is_an_error_not_a_pass(self):
+        # max(worst, nan) is worst: unchecked, a NaN gradient reads as 0.0.
+        model = inject_adapters(toy_model(5), 2, "pissa", RandomSource(0))
+        model.layer1.adapter.a[0, 0] = np.nan
+        with pytest.raises(NumericalError):
+            gradcheck(model, RandomSource(9).normal((3, 6)), [0, 1, 3])
 
 
 def test_dataset_validation():
