@@ -64,11 +64,12 @@ class ExperimentSpec:
             raise ValueError(f"unknown init strategy: {', '.join(unknown)}")
         if not 0 <= self.alpha < np.inf:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if any(r > min(self.m, self.n) for r in self.ranks):
-            raise ValueError("rank exceeds min(m, n)")
-        for name, low in (("ranks", 1), ("iters", 1), ("niters", 0), ("adapter_rank", 1)):
+        for name, low in (("seeds", 0), ("m", 1), ("n", 1), ("ranks", 1), ("iters", 1),
+                          ("niters", 0), ("adapter_rank", 1)):
             if np.min(getattr(self, name), initial=low) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if any(r > min(self.m, self.n) for r in self.ranks):
+            raise ValueError("rank exceeds min(m, n)")
         # The adapters wrap both toy layers, dim x hidden and hidden x CLASSES.
         most = min(self.dim, self.hidden, CLASSES)
         if self.adapter_rank > most:

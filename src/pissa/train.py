@@ -59,6 +59,8 @@ class TrainConfig:
             raise ValueError(f"lr must be finite and non-negative, got {self.lr}")
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -421,7 +421,9 @@ class TestExperiments:
         (["quant-bench", "--alpha", "nan"], "alpha"),
         (["fastsvd-bench", "--alpha", "inf"], "alpha"),
         (["fastsvd-bench", "--alpha", "-1"], "alpha"),
-    ])
+        (["quant-bench", "--m", "0"], "m"),
+        (["fastsvd-bench", "--n", "-3"], "n"),
+    ] + [([kind, "--seeds", "-1"], "seeds") for kind in KINDS])
     def test_bad_rank_or_count_rejected_before_any_work(
             self, tmp_path, capsys, monkeypatch, argv, field):
         def no_work(*args, **kw):
@@ -429,7 +431,9 @@ class TestExperiments:
 
         for name in ("pretrain_mlp", "generate_spectral_matrix"):
             monkeypatch.setattr(f"pissa.harness.experiments.{name}", no_work)
-        code = main(argv + ["--seeds", "0", "--out", str(tmp_path / "r.csv")])
+        # The case's own flags come last, so they override these.
+        code = main(argv[:1] + ["--seeds", "0", "--out", str(tmp_path / "r.csv")]
+                    + argv[1:])
         assert code == 2
         assert f"ValueError: {field} must be" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
@@ -734,32 +738,37 @@ class TestCli:
 
 
 def test_cli_runs_without_loading_scipy(tmp_path):
-    # A fresh interpreter: this one has scipy loaded by the oracle tests. There
+    # Fresh interpreters: this one has scipy loaded by the oracle tests. There
     # scipy is unimportable, every subcommand runs, and one gesdd failure is
-    # retried through LAPACK dgesvd.
+    # retried through LAPACK dgesvd. fk.csv's niter 16 fills the Krylov basis
+    # to min(m, n) columns, and fd.csv's alpha 12 spectrum (sigma_i = i^-12)
+    # deflates its blocks.
     script = textwrap.dedent("""
-        import sys
+        import os, sys
         sys.modules["scipy"] = None  # any scipy import raises ImportError
         import numpy as np
-        import pissa
         from pissa import linalg
-        from pissa.harness import cli, generate_spectral_matrix, save_matrix
-        out = sys.argv[1]
-        save_matrix(out + "/w.pssa", generate_spectral_matrix(24, 16, 1.0, 0))
-        for argv in (
-                ["decompose", "--in", out + "/w.pssa", "--rank", "4",
-                 "--out", out + "/ckpt"],
-                ["convert-lora", "--init", out + "/ckpt", "--trained",
-                 out + "/ckpt", "--out", out + "/delta"],
-                ["quant-bench", "--m", "32", "--n", "32", "--ranks", "4",
-                 "--T", "1,2", "--seeds", "0", "--out", out + "/q.csv"],
-                ["converge", "--seeds", "0", "--steps", "3",
-                 "--strategies", "pissa,qpissa", "--out", out + "/c.csv"],
-                ["fastsvd-bench", "--m", "32", "--n", "24", "--ranks", "4",
-                 "--niter", "0,2", "--seeds", "0", "--out", out + "/f.csv"],
-                ["gradcheck", "--seeds", "0", "--strategies", "pissa,qpissa",
-                 "--out", out + "/g.csv"]):
-            assert cli.main(argv) == 0, argv
+        from pissa.harness import (cli, generate_spectral_matrix,
+                                   save_adapter_dir, save_matrix)
+        from pissa.quant import qpissa_init
+        os.chdir(sys.argv[1])  # relative paths, so the report headers match
+        w = generate_spectral_matrix(32, 24, 1.0, 0)
+        save_matrix("w.pssa", w)
+        save_adapter_dir("qckpt", qpissa_init(w, 4))
+        for cmd in [
+                "decompose --in w.pssa --rank 4 --out ckpt",
+                "convert-lora --init ckpt --trained ckpt --out delta",
+                "convert-lora --init qckpt --trained qckpt --out qdelta",
+                "quant-bench --m 64 --n 64 --ranks 4 --T 1,3 --seeds 0 --out q.csv",
+                "fastsvd-bench --m 64 --n 48 --ranks 4 --niter 0,2 --seeds 0 --out f.csv",
+                "fastsvd-bench --m 64 --n 64 --ranks 4 --niter 0,2 --seeds 0 --out f64.csv",
+                "fastsvd-bench --m 64 --n 48 --ranks 4 --niter 0,2,16 --seeds 0 --out fk.csv",
+                "fastsvd-bench --m 64 --n 48 --ranks 4 --niter 2,16 --alpha 12 --seeds 0 "
+                "--out fd.csv",
+                "converge --seeds 0 --steps 5 --strategies pissa,qpissa,lora --out c.csv",
+                "converge --seeds 0 --steps 3 --strategies principal,medium,minor --out a.csv",
+                "gradcheck --seeds 0 --strategies pissa,qpissa,lora --out g.csv"]:
+            assert cli.main(cmd.split()) == 0, cmd
         svd, failed = np.linalg.svd, []
 
         def fail_once(*args, **kwargs):
@@ -779,7 +788,18 @@ def test_cli_runs_without_loading_scipy(tmp_path):
     src = str(Path(pissa.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
-                            capture_output=True, text=True, env=env)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    trees = []
+    # Two runs with different string hashes, so output in set order differs.
+    for run, hash_seed in (("r1", "1"), ("r2", "2")):
+        (tmp_path / run).mkdir()
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / run)],
+            capture_output=True, text=True,
+            env={**env, "PYTHONHASHSEED": hash_seed})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+        trees.append({p.relative_to(tmp_path / run).as_posix(): p.read_bytes()
+                      for p in (tmp_path / run).rglob("*") if p.is_file()})
+    assert len([name for name in trees[0] if ".trace_" in name]) == 6
+    assert trees[0].keys() == trees[1].keys()
+    assert [name for name in trees[0] if trees[0][name] != trees[1][name]] == []

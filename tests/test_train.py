@@ -269,7 +269,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kw", [{"steps": 0}, {"steps": -3},
                                     {"batch_size": 0}, {"batch_size": -1},
                                     {"lr": -1e-3}, {"lr": math.nan},
-                                    {"lr": math.inf}])
+                                    {"lr": math.inf}, {"seed": -1}])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             TrainConfig(**kw)
