@@ -12,10 +12,9 @@ from .adapter import (WINDOWS, AdapterPair, DecomposedLayer,
 from .linalg import (RandomSource, ShapeError, SvdFactors, exact_svd,
                      frobenius_norm, leading_svd, nuclear_norm, qr_thin,
                      randomized_svd)
-from .quant import (Nf4Codebook, QuantConfig, QuantizedMatrix, QuantReport,
-                    build_nf4_codebook, dequantize, distribution_diagnostics,
-                    error_reduction_ratio, loftq_init, qlora_error,
-                    qlora_init, qpissa_init, quantize)
+from .quant import (NF4_LEVELS, QuantConfig, QuantizedMatrix, QuantReport,
+                    dequantize, distribution_diagnostics, error_reduction_ratio,
+                    loftq_init, qlora_error, qlora_init, qpissa_init, quantize)
 from .train import (Dataset, MlpModel, TrainConfig, TrainTrace,
                     adamw_step, cosine_warmup_lr, cross_entropy_with_grad,
                     gradcheck, inject_adapters, model_forward_backward,

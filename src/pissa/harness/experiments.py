@@ -27,6 +27,7 @@ from .data import DATA_VERSION, generate_cluster_dataset, generate_spectral_matr
 from .matrix_io import _atomic_write
 
 CLASSES = 10  # the toy MLP's outputs: layer 2 is hidden x CLASSES
+PER_CLASS, NOISE_STD = 200, 1.0  # the toy dataset's points per class and their spread
 PRETRAIN_CLASSES = (1, 3, 5, 7, 9)
 FINETUNE_CLASSES = (0, 2, 4, 6, 8)
 TRACE_COLUMNS = ("step", "loss", "grad_norm", "lr")
@@ -50,8 +51,6 @@ class ExperimentSpec:
     adapter_rank: int = 8
     hidden: int = 64
     dim: int = 64
-    per_class: int = 200
-    noise_std: float = 1.0
     out: str = "report.csv"
 
     def __post_init__(self):
@@ -175,8 +174,8 @@ def _rows_fastsvd(spec: ExperimentSpec) -> Iterator[dict]:
 
 def toy_pretrained(spec: ExperimentSpec, seed: int) -> tuple[MlpModel, Dataset]:
     """Pretrain the toy MLP on the odd classes; return it with the even half."""
-    dataset = generate_cluster_dataset(CLASSES, spec.dim, spec.per_class,
-                                       spec.noise_std, matrix_seed(seed))
+    dataset = generate_cluster_dataset(CLASSES, spec.dim, PER_CLASS, NOISE_STD,
+                                       matrix_seed(seed))
     pre_mask = np.isin(dataset.labels, PRETRAIN_CLASSES)
     pre_cfg = TrainConfig(lr=1e-2, batch_size=spec.batch_size, steps=200,
                           seed=seed)

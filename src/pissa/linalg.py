@@ -162,9 +162,10 @@ def exact_svd(w: np.ndarray) -> SvdFactors:
         factors, resid = _signed_factors(w, *np.linalg.svd(w, full_matrices=False))
     except np.linalg.LinAlgError:
         resid = np.inf
-    if resid > TOLERANCE:
+    # Written as "not <=", so that a NaN residual misses the contract too.
+    if not resid <= TOLERANCE:
         factors, resid = _signed_factors(w, *_gesvd(w))
-        if resid > TOLERANCE:
+        if not resid <= TOLERANCE:
             raise NumericalError(
                 f"SVD reconstruction residual {resid:.3e} exceeds {TOLERANCE:g}")
     return factors
@@ -373,8 +374,8 @@ def leading_svd(w: np.ndarray, r: int) -> SvdFactors:
     # w^T on the left OpenBLAS ran these products up to 3x slower.
     f = None if basis is None else _ritz((basis.T @ w).T if wide else w @ basis,
                                          basis, swap=wide)
-    if f is None or relative_error(w @ f.v - f.u * f.s if wide
-                                   else (f.u.T @ w).T - f.v * f.s, w) > TOLERANCE:
+    if f is None or not relative_error(w @ f.v - f.u * f.s if wide
+                                       else (f.u.T @ w).T - f.v * f.s, w) <= TOLERANCE:
         return exact_svd(w).truncate(r)
     return f
 
@@ -428,8 +429,10 @@ def randomized_svd(w: np.ndarray, r: int, niter: int,
         if depth == niter:
             break
         # w (w^T q), taken as ((q^T w) w^T)^T: with w^T on the left OpenBLAS
-        # ran this pass 2x slower (2048^2, 16 columns, 2 vCPUs).
-        z = (qtw @ w.T).T
+        # ran this pass 2x slower (2048^2, 16 columns, 2 vCPUs). It is of
+        # order |w|^2, so both factors are _pow2_scaled; that moves only
+        # exponents, and no column norm overflows or underflows to 0.
+        z = _pow2_scaled((_pow2_scaled(qtw)[0] @ w.T).T)[0]
         before = np.linalg.norm(z, axis=0)
         done = basis[:, :k]
         for _ in range(2):

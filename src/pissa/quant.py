@@ -20,32 +20,17 @@ from .linalg import (RandomSource, _check_rank, as_matrix, frobenius_norm,
                      leading_svd, nuclear_norm)
 
 
-@dataclass(frozen=True)
-class Nf4Codebook:
-    """Sorted 16-level codebook in [-1, 1] containing -1, 0, and 1 exactly."""
-
-    levels: tuple
-
-
+# The one codebook every quantized matrix is coded in; PSQ4 files store
+# codes and scales only, so a second codebook could not be reloaded.
 # NormalFloat levels (QLoRA): standard-normal quantiles at 8 (negative side)
 # and 9 evenly spaced probabilities from 0.5 to 1 - (1/32 + 1/30)/2, zero
 # shared, over the largest. Tests re-derive these bits from scipy's ppf.
-_NF4_TABLE = (
+NF4_LEVELS = np.array([
     -1.0, -0.696192805632343, -0.5250729594465005, -0.3949174259199071,
     -0.28444130892108205, -0.1847734028004556, -0.09104997598578049, 0.0,
     0.07958031495840909, 0.1609301443802907, 0.2461122513474594,
     0.3379151367131279, 0.44070973186421625, 0.5626168879699849,
-    0.7229566441594734, 1.0)
-
-
-def build_nf4_codebook() -> Nf4Codebook:
-    """The 16-level NormalFloat codebook."""
-    return Nf4Codebook(_NF4_TABLE)
-
-
-# The one codebook every quantized matrix is coded in; PSQ4 files store
-# codes and scales only, so a second codebook could not be reloaded.
-NF4_LEVELS = np.asarray(_NF4_TABLE)
+    0.7229566441594734, 1.0])
 NF4_LEVELS.flags.writeable = False
 
 

@@ -17,7 +17,7 @@ from pissa.harness.data import generate_spectral_matrix
 from pissa.harness.experiments import ExperimentSpec, toy_pretrained
 from pissa.linalg import (RandomSource, exact_svd, frobenius_norm,
                           nuclear_norm, randomized_svd)
-from pissa.quant import (QuantConfig, build_nf4_codebook, dequantize,
+from pissa.quant import (NF4_LEVELS, QuantConfig, dequantize,
                          distribution_diagnostics, error_reduction_ratio,
                          loftq_init, qlora_init, qpissa_init,
                          quantization_error_bound, quantize)
@@ -275,7 +275,8 @@ def test_criterion_10_conversion_is_lossless(capsys, toy_runs):
 
 
 def test_criterion_11_quantizer_bit_exactness(capsys):
-    levels_ok = build_nf4_codebook().levels == GOLDEN_LEVELS
+    # The one codebook quantize and dequantize index.
+    levels_ok = tuple(NF4_LEVELS) == GOLDEN_LEVELS
     cfg = QuantConfig()
     gen = RandomSource(111).generator()
     blocks = gen.standard_normal((1000, 64)) * np.exp(

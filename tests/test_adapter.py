@@ -262,6 +262,11 @@ class TestMergeAndConversion:
         with pytest.raises(ShapeError):
             to_lora_delta(a, b)
 
+    def test_adapters_of_another_scale_rejected(self):
+        a = pissa_init(RandomSource(0).normal((9, 7)), 3).adapter
+        with pytest.raises(ValueError, match="same scale"):
+            to_lora_delta(a, replace(a, scale=2.0))
+
 
 class TestReconstructionError:
     def test_pissa_tiny(self):
@@ -283,6 +288,18 @@ class TestReconstructionError:
 def test_adapter_pair_rejects_bad_scale(scale):
     with pytest.raises(ValueError, match="scale"):
         AdapterPair(np.ones((3, 2)), np.ones((2, 4)), 2, scale)
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [((3, 1), (2, 4)), ((3, 2), (1, 4))],
+                         ids=["a_cols", "b_rows"])
+def test_adapter_pair_rejects_factors_off_its_rank(a_shape, b_shape):
+    with pytest.raises(ShapeError, match="inconsistent with rank 2"):
+        AdapterPair(np.ones(a_shape), np.ones(b_shape), 2)
+
+
+def test_layer_rejects_base_of_another_shape():
+    with pytest.raises(ShapeError, match=r"base shape \(4, 5\) != adapter shape \(4, 4\)"):
+        replace(pissa_init(np.eye(4), 2), base=np.zeros((4, 5)))
 
 
 @pytest.mark.parametrize("origin", ["bogus", None, ["pissa"]],

@@ -113,6 +113,22 @@ class TestMatrixFiles:
             "000000000000f03f" "0000000000000000" "0000000000000840"
             "0c9b777700")
 
+    def test_failed_write_removes_its_temp_file(self, tmp_path, monkeypatch):
+        # The rename fails after the temp file is written: the temp file
+        # goes, the error is re-raised and the old file keeps its bytes.
+        path = tmp_path / "m.pssa"
+        save_matrix(path, np.ones((2, 2)))
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            save_matrix(path, np.zeros((3, 3)))
+        assert [p.name for p in tmp_path.iterdir()] == ["m.pssa"]
+        assert path.read_bytes() == before
+
     def test_bad_magic(self, tmp_path):
         (tmp_path / "m.pssa").write_bytes(b"JUNKxxxxxxxxxxxxxxxx")
         with pytest.raises(FileFormatError):
@@ -370,7 +386,7 @@ WINDOWS_ABLATION = ("principal", "medium", "minor")
 def tiny_spec(kind, tmp_path, **kw):
     defaults = dict(m=24, n=24, ranks=(4,), iters=(1, 2), niters=(1, 4),
                     seeds=(0, 1), steps=5, batch_size=16, adapter_rank=2,
-                    hidden=8, dim=16, per_class=10,
+                    hidden=8, dim=16,
                     out=str(tmp_path / "report.csv"))
     return ExperimentSpec(kind=kind, **{**defaults, **kw})
 
@@ -423,7 +439,8 @@ class TestExperiments:
         (["fastsvd-bench", "--alpha", "-1"], "alpha"),
         (["quant-bench", "--m", "0"], "m"),
         (["fastsvd-bench", "--n", "-3"], "n"),
-    ] + [([kind, "--seeds", "-1"], "seeds") for kind in KINDS])
+    ] + [([kind, "--seeds", "-1"], "seeds") for kind in KINDS]
+      + [(["fastsvd-bench", "--seeds", "5..3"], "seeds")])
     def test_bad_rank_or_count_rejected_before_any_work(
             self, tmp_path, capsys, monkeypatch, argv, field):
         def no_work(*args, **kw):
@@ -437,6 +454,10 @@ class TestExperiments:
         assert code == 2
         assert f"ValueError: {field} must be" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_rank_above_the_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"rank exceeds min\(m, n\)"):
+            ExperimentSpec(kind="quant-bench", m=8, n=12, ranks=(4, 9))
 
     def test_config_hash_stable_and_sensitive(self, tmp_path):
         a = tiny_spec("quant-bench", tmp_path)

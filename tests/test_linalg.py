@@ -240,6 +240,12 @@ class TestExactSvd:
         with pytest.raises(ValueError):
             exact_svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_nan_residual_misses_the_contract(self):
+        # The true singular values are 3.4e308, which overflows, and 0; the
+        # drivers return inf, and the residual is NaN.
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="nan"):
+            exact_svd(1.7e308 * np.ones((2, 2)))
+
 
 GESVD_CASES = {
     "tall": RandomSource(11).normal((40, 24)),
@@ -619,6 +625,22 @@ class TestRandomizedSvd:
             randomized_svd(w, 5, 1, RandomSource(0))
         with pytest.raises(ValueError):
             randomized_svd(w, 0, 1, RandomSource(0))
+
+    def test_negative_niter_rejected(self):
+        with pytest.raises(ValueError, match="niter must be non-negative"):
+            randomized_svd(RandomSource(0).normal((4, 4)), 2, -1, RandomSource(0))
+
+    @pytest.mark.parametrize("k", [300, -300, 700, -700])
+    @pytest.mark.parametrize("shape", [(64, 48), (48, 64)], ids=["tall", "wide"])
+    def test_extreme_scales_keep_the_krylov_depth(self, shape, k):
+        # Each new block w (w^T q) is of order |w|^2. Unscaled, past about
+        # 2^+-250 its column norms overflowed or underflowed to 0, every
+        # column was deflated, and the call returned its niter-0 answer.
+        w = generate_spectral_matrix(*shape, 1.0, 3)
+        ref = randomized_svd(w, 4, 4, RandomSource(1))
+        got = randomized_svd(np.ldexp(w, k), 4, 4, RandomSource(1))
+        for a, b in ((np.ldexp(got.s, -k), ref.s), (got.u, ref.u), (got.v, ref.v)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 def _ritz_inputs(shape, swap, k=12):

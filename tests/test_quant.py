@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import pissa
 from pissa import linalg, quant
 from pissa.adapter import merge, pissa_init
 from pissa.harness.data import generate_spectral_matrix
@@ -17,7 +18,7 @@ from pissa.harness.matrix_io import load_quantized, save_quantized
 from pissa.linalg import (RandomSource, ShapeError, exact_svd, frobenius_norm,
                           nuclear_norm)
 from pissa.quant import (NF4_LEVELS, QuantConfig, QuantizedMatrix,
-                         build_nf4_codebook, dequantize, distribution_diagnostics,
+                         dequantize, distribution_diagnostics,
                          error_reduction_ratio, loftq_init, qlora_error,
                          qlora_init, qpissa_init, quant_report,
                          quantization_error_bound, quantize)
@@ -38,9 +39,9 @@ GOLDEN_LEVELS = (
 
 class TestCodebook:
     def test_golden_values(self):
-        assert build_nf4_codebook().levels == GOLDEN_LEVELS
         assert tuple(NF4_LEVELS) == GOLDEN_LEVELS
         assert not NF4_LEVELS.flags.writeable
+        assert pissa.NF4_LEVELS is NF4_LEVELS
 
     def test_quantile_oracle(self):
         # Recompute from scratch: evenly spaced normal quantiles, eight on
@@ -53,7 +54,7 @@ class TestCodebook:
         np.testing.assert_allclose(GOLDEN_LEVELS, oracle, atol=1e-15)
 
     def test_structure(self):
-        lv = np.asarray(build_nf4_codebook().levels)
+        lv = NF4_LEVELS
         assert lv.shape == (16,)
         assert (np.diff(lv) > 0).all()
         assert lv[0] == -1.0 and lv[-1] == 1.0
@@ -101,7 +102,7 @@ class TestQuantizeDequantize:
             assert codes[i] == best
 
     def test_tie_toward_lower_index(self):
-        levels = np.asarray(build_nf4_codebook().levels)
+        levels = NF4_LEVELS
         midpoint = (levels[7] + levels[8]) / 2  # exactly between 0 and next
         m = np.array([[1.0, midpoint]])
         codes = quantize(m, QuantConfig(block_size=2)).codes.ravel()
@@ -155,6 +156,11 @@ class TestQuantizeDequantize:
         q = quantize(RandomSource(5).normal((4, 4)), QuantConfig(block_size=4))
         with pytest.raises(ValueError, match="scales do not match"):
             QuantizedMatrix(q.codes, q.scales[:nscales], block_size)
+
+    @pytest.mark.parametrize("block_size", [0, -4])
+    def test_config_rejects_block_size_below_one(self, block_size):
+        with pytest.raises(ValueError, match="block_size must be >= 1"):
+            QuantConfig(block_size=block_size)
 
     def test_block_larger_than_matrix_bounded_memory(self):
         # One float of scale per entry, not one per padded block slot: a

@@ -91,6 +91,13 @@ class TestModelForwardBackward:
         labels = [0, 2, 1]
         assert gradcheck(model, x, labels, eps=1e-5) <= 1e-4
 
+    def test_inject_rejects_injected_model_and_unknown_strategy(self):
+        model = inject_adapters(toy_model(), 2, "pissa", RandomSource(1))
+        with pytest.raises(ValueError, match="already has adapters injected"):
+            inject_adapters(model, 2, "pissa", RandomSource(1))
+        with pytest.raises(ValueError, match="unknown init strategy: bogus"):
+            inject_adapters(toy_model(), 2, "bogus", RandomSource(1))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_batch_rejected(self, bad):
         model = inject_adapters(toy_model(), 2, "pissa", RandomSource(1))
