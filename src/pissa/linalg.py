@@ -86,25 +86,35 @@ class SvdFactors:
         return SvdFactors(self.u[:, :r].copy(), self.s[:r].copy(), self.v[:, :r].copy())
 
 
+# _pow2_scaled leaves a matrix alone within 2^+-100 of 1: there every product
+# the kernels take, Gram matrices included, and every LAPACK driver run
+# unscaled (dsyevr rescales a Gram matrix above 2^255.5 or below 2^-485,
+# gesdd entries outside about 2^+-459).
+_POW2_WINDOW = 100
+
+
 def _pow2_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """(m / 2^e, e) for the exponent e of max|m|, so that every entry of the
-    scaled matrix lies in (-1, 1) and its sums of squares neither overflow
-    nor underflow. The scale only moves exponents: norms of the scaled
-    matrix times 2^e keep their bits."""
-    e = math.frexp(float(np.max(np.abs(m), initial=0.0)))[1]
-    return np.ldexp(m, -e), e
+    """(m, 0) when the exponent e of max|m| has |e| <= _POW2_WINDOW, else
+    (m / 2^e, e). Results of m / 2^e times 2^e keep the bits of m's own
+    results, except where an entry of m / 2^e turns subnormal."""
+    e = math.frexp(max(np.max(m, initial=0.0), -np.min(m, initial=0.0)))[1]
+    return (m, 0) if abs(e) <= _POW2_WINDOW else (np.ldexp(m, -e), e)
+
+
+def _unscaled(x, e: int):
+    """x * 2^e; NumericalError when that overflows float64."""
+    with np.errstate(over="ignore"):  # an overflow is raised below
+        x = np.ldexp(x, e)
+    if not np.isfinite(x).all():
+        raise NumericalError(f"result overflows float64 at scale 2^{e}")
+    return x
 
 
 def frobenius_norm(m: np.ndarray) -> float:
-    """sqrt of the sum of squares. When that sum overflows (entries above
-    about 1e154) or underflows (below about 1e-162) it is taken again on
-    the _pow2_scaled matrix."""
-    with np.errstate(over="ignore"):  # an overflow is caught and redone below
-        total = np.sum(np.square(m))
-    if np.isinf(total) or total < np.finfo(np.float64).tiny:
-        scaled, e = _pow2_scaled(m)
-        return float(np.ldexp(np.sqrt(np.sum(np.square(scaled))), e))
-    return float(np.sqrt(total))
+    """sqrt of the sum of squares of the _pow2_scaled matrix, times its
+    scale, so that the sum neither overflows nor underflows."""
+    scaled, e = _pow2_scaled(m)
+    return float(np.ldexp(np.sqrt(np.sum(np.square(scaled))), e))
 
 
 # The reconstruction contract: a factorization (or split) of ref is exact
@@ -157,7 +167,7 @@ def exact_svd(w: np.ndarray) -> SvdFactors:
     reconstruction residual's relative_error is within TOLERANCE (1e-10);
     a miss raises NumericalError with the achieved residual.
     """
-    w = as_matrix(w)
+    w, e = _pow2_scaled(as_matrix(w))
     try:
         factors, resid = _signed_factors(w, *np.linalg.svd(w, full_matrices=False))
     except np.linalg.LinAlgError:
@@ -168,6 +178,7 @@ def exact_svd(w: np.ndarray) -> SvdFactors:
         if not resid <= TOLERANCE:
             raise NumericalError(
                 f"SVD reconstruction residual {resid:.3e} exceeds {TOLERANCE:g}")
+    factors.s = _unscaled(factors.s, e)
     return factors
 
 
@@ -231,22 +242,12 @@ def _eigh_range(g: np.ndarray, il: int, iu: int, vectors: bool):
     return values[:found.value], z
 
 
-def _gram(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """(t / 2^e, its Gram matrix, e) for the tall matrix t. The Gram product
-    overflows or underflows past about 2^+-500, so e is _pow2_scaled's
-    exponent when max|t| lies outside [2^-400, 2^400], and 0 otherwise."""
-    e = 0
-    if not 2.0**-400 <= max(np.max(t, initial=0.0), -np.min(t, initial=0.0)) <= 2.0**400:
-        t, e = _pow2_scaled(t)
-    return t, t.T @ t, e
-
-
 def _gram_basis(t: np.ndarray, r: int) -> np.ndarray | None:
     """Eigenvectors of t^T t for its r largest eigenvalues, largest first,
     from LAPACK dsyevr, which computes only those r; None when dsyevr is not
     bound or fails."""
     n = t.shape[1]
-    eig = _eigh_range(_gram(t)[1], n - r + 1, n, vectors=True)
+    eig = _eigh_range(t.T @ t, n - r + 1, n, vectors=True)
     return None if eig is None else eig[1][::-1].T
 
 
@@ -259,8 +260,7 @@ _GRAM_RTOL = 2e-14
 def _gram_nuclear(t: np.ndarray) -> float | None:
     """Nuclear norm of the tall matrix t from its Gram spectrum, or None
     when nuclear_norm must take the full SVD instead."""
-    t, gram, e = _gram(t)
-    n = t.shape[1]
+    gram, n = t.T @ t, t.shape[1]
     # dsyevr overwrites its input; gram is kept for the eigenvectors below.
     eig = _eigh_range(gram.copy(), 1, n, vectors=False) if n else None
     if eig is None:
@@ -281,7 +281,7 @@ def _gram_nuclear(t: np.ndarray) -> float | None:
         if low is None:
             return None
         total += float(np.sum(np.linalg.svd(t @ low[1].T, compute_uv=False)))
-    return float(np.ldexp(total, e))
+    return total
 
 
 def nuclear_norm(m: np.ndarray) -> float:
@@ -290,7 +290,7 @@ def nuclear_norm(m: np.ndarray) -> float:
     fast path does not apply. A zero matrix gives exactly 0.0.
 
     The fast path takes the eigenvalues lambda of the Gram matrix of m's
-    shorter side (_gram). The root of lambda_i is off by up to eps *
+    shorter side. The root of lambda_i is off by up to eps *
     lambda_max / (2 sqrt(lambda_i)), its error estimate. The k smallest
     eigenvalues are resolved instead by the SVD of m times their k
     eigenvectors: those at or below n * eps * lambda_max, which hold no
@@ -300,11 +300,11 @@ def nuclear_norm(m: np.ndarray) -> float:
     n / 8, or when dsyevr is not bound or fails. No u or v of m is formed,
     so exact_svd's reconstruction check does not apply.
     """
-    m = as_matrix(m)
+    m, e = _pow2_scaled(as_matrix(m))
     total = _gram_nuclear(m.T if m.shape[0] < m.shape[1] else m)
     if total is None:
-        return float(np.sum(np.linalg.svd(m, compute_uv=False)))
-    return total
+        total = float(np.sum(np.linalg.svd(m, compute_uv=False)))
+    return float(_unscaled(total, e))
 
 
 # _cholesky_qr2's bounds. CholeskyQR2 is proven stable for cond(p) up to
@@ -318,17 +318,15 @@ _ORTH_TOL = 1e-14
 def _cholesky_qr2(p: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Thin QR of the tall matrix p by CholeskyQR2: the Gram matrix, its
     Cholesky factor R and p R^-1, all taken twice, as BLAS-3 products
-    (Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, ScalA 2014). p is scaled
-    as _gram scales it. (q, r) with p = q r up to rounding, or None when a
-    Cholesky factorization fails or misses _COND_MAX (as for a rank-deficient
-    p), or q misses _ORTH_TOL."""
-    q, gram, e = _gram(p)
-    r = np.ldexp(np.eye(p.shape[1]), e)
+    (Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, ScalA 2014). (q, r) with
+    p = q r up to rounding, or None when a Cholesky factorization fails or
+    misses _COND_MAX (as for a rank-deficient p), or q misses _ORTH_TOL."""
+    q, gram, r = p, p.T @ p, np.eye(p.shape[1])
     try:
         for _ in range(2):
             low = np.linalg.cholesky(gram)
             diag = np.diagonal(low)
-            # NaN (from an overflowed Gram matrix) fails the comparisons, too.
+            # A NaN factor fails the comparison, too.
             if not diag.max() <= _COND_MAX * diag.min():
                 return None
             q, r = q @ np.linalg.inv(low).T, low.T @ r
@@ -366,7 +364,7 @@ def leading_svd(w: np.ndarray, r: int) -> SvdFactors:
     not zero for any basis, w^T u - v s (tall or square w) or w v - u s
     (wide w), has a relative_error above TOLERANCE.
     """
-    w = as_matrix(w)
+    w, e = _pow2_scaled(as_matrix(w))
     _check_rank(w, r)
     wide = w.shape[0] < w.shape[1]
     basis = _gram_basis(w.T if wide else w, r)
@@ -376,7 +374,8 @@ def leading_svd(w: np.ndarray, r: int) -> SvdFactors:
                                          basis, swap=wide)
     if f is None or not relative_error(w @ f.v - f.u * f.s if wide
                                        else (f.u.T @ w).T - f.v * f.s, w) <= TOLERANCE:
-        return exact_svd(w).truncate(r)
+        f = exact_svd(w).truncate(r)
+    f.s = _unscaled(f.s, e)
     return f
 
 
@@ -412,7 +411,7 @@ def randomized_svd(w: np.ndarray, r: int, niter: int,
     Ritz step's product w^T basis is the blocks' Q^T w, which the passes
     take anyway. Deterministic given ``rng``.
     """
-    w = as_matrix(w)
+    w, e = _pow2_scaled(as_matrix(w))
     _check_rank(w, r)
     if niter < 0:
         raise ValueError("niter must be non-negative")
@@ -429,10 +428,8 @@ def randomized_svd(w: np.ndarray, r: int, niter: int,
         if depth == niter:
             break
         # w (w^T q), taken as ((q^T w) w^T)^T: with w^T on the left OpenBLAS
-        # ran this pass 2x slower (2048^2, 16 columns, 2 vCPUs). It is of
-        # order |w|^2, so both factors are _pow2_scaled; that moves only
-        # exponents, and no column norm overflows or underflows to 0.
-        z = _pow2_scaled((_pow2_scaled(qtw)[0] @ w.T).T)[0]
+        # ran this pass 2x slower (2048^2, 16 columns, 2 vCPUs).
+        z = (qtw @ w.T).T
         before = np.linalg.norm(z, axis=0)
         done = basis[:, :k]
         for _ in range(2):
@@ -445,4 +442,6 @@ def randomized_svd(w: np.ndarray, r: int, niter: int,
         q -= done @ (done.T @ q)
         basis[:, k:k + q.shape[1]] = q
         k += q.shape[1]
-    return _ritz(rows[:k].T, basis[:, :k], swap=True).truncate(r)
+    f = _ritz(rows[:k].T, basis[:, :k], swap=True).truncate(r)
+    f.s = _unscaled(f.s, e)
+    return f

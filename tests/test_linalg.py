@@ -240,11 +240,19 @@ class TestExactSvd:
         with pytest.raises(ValueError):
             exact_svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
-    def test_nan_residual_misses_the_contract(self):
-        # The true singular values are 3.4e308, which overflows, and 0; the
-        # drivers return inf, and the residual is NaN.
-        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="nan"):
-            exact_svd(1.7e308 * np.ones((2, 2)))
+    def test_nan_residual_misses_the_contract(self, monkeypatch):
+        # Drivers that return NaN singular values give a NaN residual, which
+        # must miss the contract as a residual above TOLERANCE does.
+        svd = np.linalg.svd
+
+        def nan_values(m, **kwargs):
+            u, s, vt = svd(m, full_matrices=False)
+            return u, np.full_like(s, np.nan), vt
+
+        monkeypatch.setattr(np.linalg, "svd", nan_values)
+        monkeypatch.setattr(linalg, "_gesvd", nan_values)
+        with pytest.raises(NumericalError, match="nan"):
+            exact_svd(generate_spectral_matrix(12, 10, 1.0, 0))
 
 
 GESVD_CASES = {
@@ -287,12 +295,13 @@ LEADING_CASES = {
 
 
 def _forbid_full_svd(monkeypatch, w):
-    # np.linalg.svd raises on w itself: the full SVD of exact_svd(w), the
-    # fallback, must not run. Thin products such as the Ritz step's pass.
+    # np.linalg.svd raises on a matrix of w's shape: the full SVD of
+    # exact_svd(w), the fallback, must not run, whatever power of two
+    # exact_svd has scaled w by. Thin products such as the Ritz step's pass.
     svd = np.linalg.svd
 
     def thin_only(a, *args, **kwargs):
-        if a.shape == w.shape and np.array_equal(a, w):
+        if a.shape == w.shape:
             raise AssertionError("leading_svd fell back to the full SVD")
         return svd(a, *args, **kwargs)
 
@@ -368,12 +377,12 @@ class TestLeadingSvd:
         _assert_same_bits(f, ref)
 
     @pytest.mark.parametrize("scale", [1e150, 1e160, 1e-160, 1e-170, 1e300])
-    @pytest.mark.parametrize("shape", [(32, 32), (4, 4)], ids=["spectral", "ones"])
+    @pytest.mark.parametrize("shape", [(32, 32), (8, 8)], ids=["spectral", "ones"])
     def test_extreme_scales_take_the_dsyevr_path(self, monkeypatch, scale, shape):
         # Out of the Gram product's range the dsyevr basis must still serve:
         # the full SVD does not run, and the triplets match exact_svd's up to
-        # rounding. A 4x4 matrix of ones has rank 1, so three of its four
-        # singular values are zero.
+        # rounding. An 8x8 matrix of ones has rank 1, so three of the four
+        # singular values asked for are zero.
         w = scale * (generate_spectral_matrix(32, 32, 1.0, 0)
                      if shape == (32, 32) else np.ones(shape))
         ref = exact_svd(w).truncate(4)
@@ -630,17 +639,72 @@ class TestRandomizedSvd:
         with pytest.raises(ValueError, match="niter must be non-negative"):
             randomized_svd(RandomSource(0).normal((4, 4)), 2, -1, RandomSource(0))
 
-    @pytest.mark.parametrize("k", [300, -300, 700, -700])
-    @pytest.mark.parametrize("shape", [(64, 48), (48, 64)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("k", [3, -3, 200, -200, 300, -300, 700, -700, 1000, -1000])
+    @pytest.mark.parametrize("shape", [(64, 48), (48, 64), (48, 48)],
+                             ids=["tall", "wide", "square"])
     def test_extreme_scales_keep_the_krylov_depth(self, shape, k):
-        # Each new block w (w^T q) is of order |w|^2. Unscaled, past about
-        # 2^+-250 its column norms overflowed or underflowed to 0, every
-        # column was deflated, and the call returned its niter-0 answer.
+        # The equivariance of every SVD entry, randomized_svd's Krylov depth
+        # included: on 2^k w each kernel gives the scale-1 call's u and v
+        # and its s (or sum) times 2^k, bit for bit wherever 2^k w holds the
+        # bits of w. pissa_init's factors carry sqrt(s), so its reference is
+        # the call on 2^(k mod 2) w. The cases: 2^+-3 runs unscaled, at
+        # 2^+-200 dsyevr rescaled the Gram matrix, at 2^+-300 the Krylov
+        # blocks w (w^T q) overflowed or underflowed to 0 and the call lost
+        # its depth, at 2^+-700 gesdd rescales, and 2^+-1000 nears the limits.
         w = generate_spectral_matrix(*shape, 1.0, 3)
-        ref = randomized_svd(w, 4, 4, RandomSource(1))
-        got = randomized_svd(np.ldexp(w, k), 4, 4, RandomSource(1))
-        for a, b in ((np.ldexp(got.s, -k), ref.s), (got.u, ref.u), (got.v, ref.v)):
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        wk, odd = np.ldexp(w, k), k & 1
+        exact = np.array_equal(np.ldexp(wk, -k), w)
+
+        def same(a, b):
+            assert (np.array_equal(a, b) if exact
+                    else np.allclose(a, b, rtol=1e-12, atol=1e-12))
+
+        for kernel in (exact_svd, lambda m: leading_svd(m, 4),
+                       lambda m: randomized_svd(m, 4, 4, RandomSource(1))):
+            got, ref = kernel(wk), kernel(w)
+            for a, b in ((got.u, ref.u), (np.ldexp(got.s, -k), ref.s), (got.v, ref.v)):
+                same(a, b)
+        same(np.ldexp(nuclear_norm(wk), -k), nuclear_norm(w))
+        got, ref = pissa_init(wk, 4), pissa_init(np.ldexp(w, odd), 4)
+        half = (k - odd) // 2
+        for a, b in ((np.ldexp(got.adapter.a, -half), ref.adapter.a),
+                     (np.ldexp(got.adapter.b, -half), ref.adapter.b),
+                     (np.ldexp(got.base, odd - k), ref.base)):
+            same(a, b)
+
+
+# sigma_1 of 1.7e308 times ones (3.4e308 at 2 x 2) lies past the largest float64.
+OVERFLOWING = {
+    "exact": lambda: exact_svd(1.7e308 * np.ones((2, 2))),
+    "leading": lambda: leading_svd(1.7e308 * np.ones((2, 2)), 1),
+    "nuclear": lambda: nuclear_norm(1.7e308 * np.ones((2, 2))),
+    "randomized": lambda: randomized_svd(1.7e308 * np.ones((3, 2)), 1, 2,
+                                         RandomSource(0)),
+}
+
+
+@pytest.mark.parametrize("kernel", OVERFLOWING)
+def test_overflowing_singular_value_raises(kernel):
+    with pytest.raises(NumericalError, match="overflow"):
+        OVERFLOWING[kernel]()
+
+
+def test_pissa_init_near_the_largest_float_is_exact():
+    # sigma_1 = 1.15e308 is finite, so the split meets the contract.
+    w = 1e308 * np.array([[1, .5], [.25, .125]])
+    assert linalg.relative_error(w - merge(pissa_init(w, 1)), w) <= linalg.TOLERANCE
+
+
+def test_entries_subnormal_after_scaling_cost_at_most_eps_sigma1():
+    # Scaled by 2^-1001, 2^-100 turns 2^-1101 and flushes to 0: sigma_2 is
+    # lost, but only to eps sigma_1, and every split still reconstructs w.
+    w = np.diag([2.0**1000, 2.0**-100])
+    bound = np.finfo(np.float64).eps * 2.0**1000
+    for f in (exact_svd(w), leading_svd(w, 2), randomized_svd(w, 2, 2, RandomSource(0))):
+        assert np.all(np.abs(f.s - np.diag(w)) <= bound)
+        assert linalg.relative_error(f.reconstruct() - w, w) <= linalg.TOLERANCE
+    assert abs(nuclear_norm(w) - np.trace(w)) <= bound
+    assert linalg.relative_error(w - merge(pissa_init(w, 1)), w) <= linalg.TOLERANCE
 
 
 def _ritz_inputs(shape, swap, k=12):
@@ -675,9 +739,10 @@ class TestCholeskyQr2Ritz:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
             np.testing.assert_allclose(got.T @ got, np.eye(12), rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+    @pytest.mark.parametrize("scale", [1.0, 1e-30, 1e30])
     def test_helper_factors_the_product(self, scale):
-        # Outside the Gram product's range p is scaled as _gram scales it.
+        # p is taken as it comes: its callers' entry scaling keeps max|w|
+        # within 2^+-100 (about 1e+-30) of 1, where p's Gram product is in range.
         p = scale * _ritz_inputs((60, 40), False)[0]
         q, r = linalg._cholesky_qr2(p)
         np.testing.assert_allclose(q.T @ q, np.eye(12), rtol=0, atol=1e-14)
