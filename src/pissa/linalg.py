@@ -124,8 +124,10 @@ TOLERANCE = 1e-10
 
 def relative_error(diff: np.ndarray, ref: np.ndarray) -> float:
     """||diff||_F / ||ref||_F, the same at every scale of ref; ||diff||_F
-    at ref = 0."""
-    d, r = frobenius_norm(diff), frobenius_norm(ref)
+    at ref = 0. Both are divided by ref's _pow2_scaled power of two, so
+    the ratio stays finite where ||ref||_F overflows."""
+    ref, e = _pow2_scaled(ref)
+    d, r = frobenius_norm(np.ldexp(diff, -e) if e else diff), frobenius_norm(ref)
     return d / r if r else d
 
 
@@ -196,12 +198,27 @@ def _bind(name: str, *argtypes):
 
 
 _I64, _PTR, _DBL, _CHAR = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_char
+_I64P = ctypes.POINTER(_I64)
 # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz
 _DSYEVR = _bind("dsyevr", ctypes.c_int, _CHAR, _CHAR, _CHAR, _I64, _PTR, _I64, _DBL,
-                _DBL, _I64, _I64, _DBL, ctypes.POINTER(_I64), _PTR, _PTR, _I64, _PTR)
+                _DBL, _I64, _I64, _DBL, _I64P, _PTR, _PTR, _I64, _PTR)
 # layout, jobu, jobvt, m, n, a, lda, s, u, ldu, vt, ldvt, superb
 _DGESVD = _bind("dgesvd", ctypes.c_int, _CHAR, _CHAR, _I64, _I64, _PTR, _I64, _PTR,
                 _PTR, _I64, _PTR, _I64, _PTR)
+# dsyevr's own steps, for nuclear_norm. layout, uplo, n, a, lda, d, e, tau, work, lwork
+_DSYTRD = _bind("dsytrd_work", ctypes.c_int, _CHAR, _I64, _PTR, _I64, _PTR, _PTR, _PTR,
+                _PTR, _I64)
+# n, d, e
+_DSTERF = _bind("dsterf", _I64, _PTR, _PTR)
+# range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock, isplit
+_DSTEBZ = _bind("dstebz", _CHAR, _CHAR, _I64, _DBL, _DBL, _I64, _I64, _DBL, _PTR, _PTR,
+                _I64P, _I64P, _PTR, _PTR, _PTR)
+# layout, n, d, e, m, w, iblock, isplit, z, ldz, ifailv
+_DSTEIN = _bind("dstein", ctypes.c_int, _I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR,
+                _I64, _PTR)
+# layout, side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork
+_DORMTR = _bind("dormtr_work", ctypes.c_int, _CHAR, _CHAR, _CHAR, _I64, _I64, _PTR, _I64,
+                _PTR, _PTR, _I64, _PTR, _I64)
 
 
 def _gesvd(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -218,37 +235,21 @@ def _gesvd(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vt
 
 
-def _eigh_range(g: np.ndarray, il: int, iu: int, vectors: bool):
-    """Eigenvalues il..iu (1-based, ascending) of the symmetric matrix g from
-    LAPACK dsyevr and, with vectors, their eigenvectors as the rows of an
-    (iu - il + 1) x n array; None when dsyevr is not bound or fails.
-
-    Overwrites g. IL = 1, IU = n takes dsyevr's all-eigenvalues path.
-    """
-    if _DSYEVR is None:
-        return None
-    n = g.shape[0]
-    found, values = ctypes.c_int64(), np.empty(n)
-    # z is the n x count column-major eigenvector block; without vectors
-    # dsyevr does not reference it.
-    z = np.empty((iu - il + 1, n) if vectors else 1)
-    support = np.empty(2 * n, np.int64)
-    # g is symmetric, so its C-order buffer is also its column-major one.
-    info = _DSYEVR(102, b"V" if vectors else b"N", b"I", b"L", n, g.ctypes.data,
-                   n, 0.0, 0.0, il, iu, 0.0, found, values.ctypes.data,
-                   z.ctypes.data, n, support.ctypes.data)
-    if info != 0 or found.value != iu - il + 1:
-        return None
-    return values[:found.value], z
-
-
 def _gram_basis(t: np.ndarray, r: int) -> np.ndarray | None:
     """Eigenvectors of t^T t for its r largest eigenvalues, largest first,
     from LAPACK dsyevr, which computes only those r; None when dsyevr is not
     bound or fails."""
-    n = t.shape[1]
-    eig = _eigh_range(t.T @ t, n - r + 1, n, vectors=True)
-    return None if eig is None else eig[1][::-1].T
+    if _DSYEVR is None:
+        return None
+    gram, n = t.T @ t, t.shape[1]
+    found, values = ctypes.c_int64(), np.empty(n)
+    # z is the n x r column-major eigenvector block, one vector per row.
+    z, support = np.empty((r, n)), np.empty(2 * n, np.int64)
+    # gram is symmetric, so its C-order buffer is also its column-major one.
+    info = _DSYEVR(102, b"V", b"I", b"L", n, gram.ctypes.data, n, 0.0, 0.0,
+                   n - r + 1, n, 0.0, found, values.ctypes.data, z.ctypes.data, n,
+                   support.ctypes.data)
+    return None if info != 0 or found.value != r else z[::-1].T
 
 
 # The bound nuclear_norm keeps on the error estimate of the roots it sums
@@ -257,15 +258,53 @@ def _gram_basis(t: np.ndarray, r: int) -> np.ndarray | None:
 _GRAM_RTOL = 2e-14
 
 
+def _smallest_vectors(reduced: np.ndarray, d: np.ndarray, e: np.ndarray,
+                      tau: np.ndarray, work: np.ndarray, k: int) -> np.ndarray | None:
+    """Eigenvectors of the k smallest eigenvalues, as the rows of a k x n
+    array, of the symmetric matrix that dsytrd reduced to (reduced, d, e,
+    tau); None when a step fails. These are dsyevr's steps for IL = 1,
+    IU = k: dstebz, dstein, dormtr on the kept reflectors, then a selection
+    sort into ascending order."""
+    n = d.size
+    found, nsplit = _I64(), _I64()
+    values, block, split = np.empty(n), np.empty(n, np.int64), np.empty(n, np.int64)
+    if _DSTEBZ(b"I", b"B", n, 0.0, 0.0, 1, k, 0.0, d.ctypes.data, e.ctypes.data, found,
+               nsplit, values.ctypes.data, block.ctypes.data, split.ctypes.data) \
+            or found.value != k:
+        return None
+    z, fail = np.empty((k, n)), np.empty(k, np.int64)
+    if _DSTEIN(102, n, d.ctypes.data, e.ctypes.data, k, values.ctypes.data,
+               block.ctypes.data, split.ctypes.data, z.ctypes.data, n, fail.ctypes.data):
+        return None
+    if _DORMTR(102, b"L", b"L", b"N", n, k, reduced.ctypes.data, n, tau.ctypes.data,
+               z.ctypes.data, n, work.ctypes.data, work.size):
+        return None
+    values = values[:k]
+    for j in range(k - 1):
+        i = j + int(np.argmin(values[j:]))
+        values[[j, i]], z[[j, i]] = values[[i, j]], z[[i, j]]
+    return z
+
+
 def _gram_nuclear(t: np.ndarray) -> float | None:
     """Nuclear norm of the tall matrix t from its Gram spectrum, or None
     when nuclear_norm must take the full SVD instead."""
-    gram, n = t.T @ t, t.shape[1]
-    # dsyevr overwrites its input; gram is kept for the eigenvectors below.
-    eig = _eigh_range(gram.copy(), 1, n, vectors=False) if n else None
-    if eig is None:
+    n = t.shape[1]
+    if not n or None in (_DSYTRD, _DSTERF, _DSTEBZ, _DSTEIN, _DORMTR):
         return None
-    lam = eig[0]
+    # One reduction to tridiagonal form serves the values and the vectors.
+    # dsyevr's workspace is (nb + 1) n for LAPACK's block size nb = 32; it
+    # gives dsytrd all but 5 n of it and dormtr all but 2 n. The same sizes
+    # here keep dsyevr's blocking, and so its bits.
+    reduced, work = t.T @ t, np.empty(31 * n)
+    d, e, tau = np.empty(n), np.empty(n), np.empty(n)
+    if _DSYTRD(102, b"L", n, reduced.ctypes.data, n, d.ctypes.data, e.ctypes.data,
+               tau.ctypes.data, work.ctypes.data, 28 * n):
+        return None
+    # dsterf overwrites its (d, e): dsyevr's all-values path, on copies.
+    lam, scratch = d.copy(), e.copy()
+    if _DSTERF(n, lam.ctypes.data, scratch.ctypes.data):
+        return None
     eps_top = np.finfo(np.float64).eps * lam[-1]
     k = int(np.count_nonzero(lam <= n * eps_top))
     roots = np.sqrt(lam[k:])
@@ -277,10 +316,10 @@ def _gram_nuclear(t: np.ndarray) -> float | None:
         return None
     total = float(np.sum(roots[j:]))
     if k:
-        low = _eigh_range(gram, 1, k, vectors=True)
+        low = _smallest_vectors(reduced, d, e, tau, work, k)
         if low is None:
             return None
-        total += float(np.sum(np.linalg.svd(t @ low[1].T, compute_uv=False)))
+        total += float(np.sum(np.linalg.svd(t @ low.T, compute_uv=False)))
     return total
 
 

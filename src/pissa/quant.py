@@ -64,38 +64,74 @@ class QuantizedMatrix:
         return self.codes.shape
 
 
+def _switch_point(a: float, b: float) -> float:
+    """The smallest float x in [a, b] that quantize codes up, the one where
+    b - x < x - a first holds in float64; the search starts at the rounded
+    midpoint, within one ulp of it."""
+    x = (a + b) / 2
+    while b - x < x - a:
+        x = math.nextafter(x, a)
+    while not b - x < x - a:
+        x = math.nextafter(x, b)
+    return x
+
+
+# fl(b - x) never rises and fl(x - a) never falls as x grows, so the strict
+# nearest-level test b - x < x - a for a gap [a, b] switches from false to
+# true exactly once, at its switch point. A scaled entry x in [-1, 1] then
+# codes as the number of switch points at or below it, bit for bit as an
+# argmin over all levels with ties toward the smaller index would. The
+# rounded midpoints are not these points: 12 of the 15 lie one ulp off.
+_SWITCH_POINTS = tuple(_switch_point(a, b)
+                       for a, b in zip(NF4_LEVELS[:-1].tolist(), NF4_LEVELS[1:].tolist()))
+
+# quantize codes whole blocks this many entries at a time, so each chunk's
+# temporaries stay in cache (chunks of 4096 blocks of 64 ran slower).
+_CHUNK_ENTRIES = 65536
+
+
+def _code_blocks(blocks: np.ndarray, codes: np.ndarray, scales: np.ndarray) -> None:
+    """Writes the absmax of each row of blocks into scales and the rows'
+    codes into codes, of blocks' shape."""
+    np.abs(blocks).max(axis=1, initial=0.0, out=scales)
+    # A zero block divides by 1, which maps it onto the zero level.
+    x = blocks / np.where(scales == 0.0, 1.0, scales)[:, None]
+    codes[...] = 0
+    for point in _SWITCH_POINTS:
+        codes += x >= point
+
+
 def quantize(m: np.ndarray, cfg: QuantConfig = QuantConfig()) -> QuantizedMatrix:
     """Block-wise nearest-level quantization with absmax scaling.
 
-    Each entry is divided by its block's absmax and coded as the nearer of
-    the two levels that bracket it. Ties between two equally near levels
-    resolve toward the smaller index, bit for bit as an argmin over all
-    levels would. A block of zeros gets scale 0 and zero-level codes.
+    Each entry is divided by its block's absmax and coded as the nearest
+    level. Ties between two equally near levels resolve toward the smaller
+    index, bit for bit as an argmin over all levels would. A block of zeros
+    gets scale 0 and zero-level codes. Whole blocks are coded in chunks of
+    about _CHUNK_ENTRIES entries, so no temporary is as large as m.
     """
     m = as_matrix(m)
     flat = m.ravel()
     bs = cfg.block_size
-    nblocks = math.ceil(flat.size / bs)
-    # Whole blocks are a view of the input; a ragged last block is zero-padded
-    # into a copy, which keeps its absmax. A matrix under one block is that block.
+    # A matrix under one block is that block.
     width = min(bs, flat.size)
-    pad = nblocks * width - flat.size
-    blocks = (np.pad(flat, (0, pad)) if pad else flat).reshape(nblocks, width)
-    scales = np.abs(blocks).max(axis=1, initial=0.0)
-    # A zero block divides by 1, which maps it onto the zero level.
-    x = blocks / np.where(scales == 0.0, 1.0, scales)[:, None]
-    # x lies in [-1, 1], so levels[lo] <= x <= levels[lo + 1] once lo
-    # counts the inner levels at or below x; 14 vectorized comparisons
-    # beat a binary search (np.searchsorted) about fivefold here.
-    lo = np.zeros(x.shape, dtype=np.uint8)
-    for level in NF4_LEVELS[1:-1]:
-        lo += x >= level
-    # Any level outside the bracket is farther by at least one level gap,
-    # so the strict comparison reproduces argmin's tie rule exactly.
-    # Comparing x with precomputed midpoints would not. The bracket fixes
-    # both distances' signs, and fl(a - x) = -fl(x - a), so no abs is needed.
-    codes = lo + (NF4_LEVELS[lo + 1] - x < x - NF4_LEVELS[lo])
-    return QuantizedMatrix(codes.ravel()[:flat.size].reshape(m.shape), scales, bs)
+    whole = flat.size // width if width else 0
+    codes = np.empty(flat.size, dtype=np.uint8)
+    scales = np.empty(math.ceil(flat.size / bs))
+    step = max(1, _CHUNK_ENTRIES // max(width, 1))
+    for start in range(0, whole, step):
+        stop = min(start + step, whole)
+        span = slice(start * width, stop * width)
+        _code_blocks(flat[span].reshape(-1, width), codes[span].reshape(-1, width),
+                     scales[start:stop])
+    if whole < scales.size:
+        # The ragged last block is zero-padded, which keeps its absmax.
+        tail = flat[whole * width:]
+        tail_codes = np.empty((1, width), dtype=np.uint8)
+        _code_blocks(np.pad(tail, (0, width - tail.size))[None], tail_codes,
+                     scales[whole:])
+        codes[whole * width:] = tail_codes[0, :tail.size]
+    return QuantizedMatrix(codes.reshape(m.shape), scales, bs)
 
 
 def _entry_scales(q: QuantizedMatrix) -> np.ndarray:
@@ -110,8 +146,17 @@ def _entry_scales(q: QuantizedMatrix) -> np.ndarray:
 
 
 def dequantize(q: QuantizedMatrix) -> np.ndarray:
-    """Map codes back through the codebook and per-block scales."""
-    return NF4_LEVELS[q.codes] * _entry_scales(q)
+    """Map codes back through the codebook and per-block scales, scaling
+    the levels in place: whole blocks by their scales, a ragged tail by the
+    last one."""
+    # Row-major, whatever the layout of codes, so that the blocks are views.
+    flat = NF4_LEVELS[q.codes.ravel()]
+    width = min(q.block_size, flat.size)
+    whole = flat.size // width if width else 0
+    blocks = flat[:whole * width].reshape(whole, width)
+    blocks *= q.scales[:whole, None]
+    flat[whole * width:] *= q.scales[whole:]
+    return flat.reshape(q.shape)
 
 
 def quantization_error_bound(q: QuantizedMatrix) -> np.ndarray:

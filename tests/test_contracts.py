@@ -2,6 +2,8 @@
 (relative_error within TOLERANCE) and the one quantized-layer scorer, seen
 from every entry point that applies them."""
 
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -112,6 +114,13 @@ class TestRelativeError:
         err = reconstruction_error(w, replace(layer, base=base))
         assert err > TOLERANCE
         assert err == pytest.approx(1e-8 / frobenius_norm(w0), rel=1e-6)
+
+    def test_finite_where_the_reference_norm_overflows(self):
+        # ||ref||_F = 1.5e308 * sqrt(2) overflows float64; the ratio does not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = relative_error(np.diag([1e308, 0.0]), np.diag([1.5e308, 1.5e308]))
+        assert got == pytest.approx(1.0 / (1.5 * math.sqrt(2.0)), rel=0, abs=1e-15)
 
     def test_defined_at_zero_reference(self):
         assert relative_error(np.array([[0.0, 2.0]]), np.zeros((3, 3))) == 2.0

@@ -42,6 +42,19 @@ def _small_tail():
     return (u * s) @ v.T
 
 
+def _dsyevr(g, il, iu, jobz):
+    # Eigenvalues il..iu of g from LAPACK dsyevr and, for jobz b"V", their
+    # eigenvectors as rows.
+    n, g = g.shape[0], g.copy()
+    found, values = ctypes.c_int64(), np.empty(n)
+    z, support = np.empty((iu - il + 1, n)), np.empty(2 * n, np.int64)
+    info = linalg._DSYEVR(102, jobz, b"I", b"L", n, g.ctypes.data, n, 0.0, 0.0, il,
+                          iu, 0.0, found, values.ctypes.data, z.ctypes.data, n,
+                          support.ctypes.data)
+    assert info == 0 and found.value == iu - il + 1
+    return values[:found.value], z
+
+
 def _product(m, k, n):
     src = RandomSource(23)
     return src.normal((m, k)) @ src.spawn(1).normal((k, n))
@@ -127,7 +140,7 @@ class TestNorms:
     @pytest.mark.parametrize("case", ["nf4_noise", "nf4_error_96x64",
                                       "loftq_residual", "small_tail"])
     def test_nuclear_takes_the_gram_path(self, case, monkeypatch):
-        # These matrices must be summed from dsyevr's Gram spectrum, without
+        # These matrices must be summed from their Gram spectrum, without
         # their full SVD, to within 1e-13 (the root estimates stop at 2e-14).
         m = NUCLEAR_CASES[case]()
         expected, svd = _svd_sum(m), np.linalg.svd
@@ -139,6 +152,45 @@ class TestNorms:
 
         monkeypatch.setattr(np.linalg, "svd", thin_only)
         assert nuclear_norm(m) == pytest.approx(expected, rel=1e-13, abs=0)
+
+    def test_one_tridiagonal_reduction_per_call(self, monkeypatch):
+        # The values (dsterf) and the bottom vectors (dstebz, dstein, dormtr)
+        # come from one dsytrd reduction of the Gram matrix.
+        m = NUCLEAR_CASES["loftq_residual"]()
+        calls = []
+        for name in ("_DSYTRD", "_DORMTR"):
+            routine = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name, lambda *args, name=name, routine=routine:
+                                calls.append(name) or routine(*args))
+        assert nuclear_norm(m) == pytest.approx(_svd_sum(m), rel=1e-13, abs=0)
+        assert calls == ["_DSYTRD", "_DORMTR"]
+
+    @pytest.mark.parametrize("n", [64, 160])
+    def test_tridiagonal_steps_keep_dsyevr_bits(self, n, monkeypatch):
+        # With dsyevr's workspaces, its steps give the bits of its
+        # all-values call (JOBZ = 'N') and of its bottom-k vectors call
+        # (JOBZ = 'V', IL = 1, IU = k); at n = 64 its dormtr runs unblocked.
+        m = _loftq_residual(n)
+        seen = {}
+        dsterf, smallest = linalg._DSTERF, linalg._smallest_vectors
+
+        def values(size, d, e):
+            info = dsterf(size, d, e)
+            seen["values"] = np.ctypeslib.as_array(
+                ctypes.cast(d, ctypes.POINTER(ctypes.c_double)), (size,)).copy()
+            return info
+
+        def vectors(*args):
+            seen["vectors"] = smallest(*args)
+            return seen["vectors"]
+
+        monkeypatch.setattr(linalg, "_DSTERF", values)
+        monkeypatch.setattr(linalg, "_smallest_vectors", vectors)
+        nuclear_norm(m)
+        k = seen["vectors"].shape[0]
+        assert k >= 4  # LoftQ's exact rank-4 fit leaves four zero roots
+        assert np.array_equal(seen["values"], _dsyevr(m.T @ m, 1, n, b"N")[0])
+        assert np.array_equal(seen["vectors"], _dsyevr(m.T @ m, 1, k, b"V")[1])
 
     def test_nuclear_zero_matrix_is_exactly_zero(self):
         assert nuclear_norm(np.zeros((5, 3))) == 0.0
@@ -439,9 +491,9 @@ class TestLeadingSvd:
 
 
 def test_every_initializer_runs_without_dsyevr(monkeypatch):
-    # numpy on another LAPACK (no LAPACKE dsyevr symbol): leading_svd takes
-    # the full SVD and nuclear_norm the SVD sum, and every initializer gives
-    # the layer it gives with dsyevr, up to rounding.
+    # numpy on another LAPACK (no LAPACKE dsyevr or tridiagonal symbols):
+    # leading_svd takes the full SVD and nuclear_norm the SVD sum, and every
+    # initializer gives the layer it gives with them, up to rounding.
     w = generate_spectral_matrix(40, 32, 1.0, 3)
     inits = {name: lambda w, init=init: init(w, 4, RandomSource(1), QuantConfig())
              for name, init in STRATEGIES.items()}
@@ -450,7 +502,8 @@ def test_every_initializer_runs_without_dsyevr(monkeypatch):
     with_dsyevr = {name: init(w) for name, init in inits.items()}
     err = w - merge(with_dsyevr["loftq_T3"])
     nuclear = nuclear_norm(err)
-    monkeypatch.setattr(linalg, "_DSYEVR", None)
+    for name in ("_DSYEVR", "_DSYTRD", "_DSTERF", "_DSTEBZ", "_DSTEIN", "_DORMTR"):
+        monkeypatch.setattr(linalg, name, None)
     for name, init in inits.items():
         layer, ref = init(w), with_dsyevr[name]
         assert layer.origin == ref.origin

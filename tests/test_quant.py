@@ -144,6 +144,9 @@ class TestQuantizeDequantize:
         scale = q.scales[np.arange(q.codes.size) // block]
         expected = NF4_LEVELS[q.codes.ravel()] * scale
         assert np.array_equal(dequantize(q).ravel(), expected)
+        # Codes in column-major layout name the same entries.
+        fortran = QuantizedMatrix(np.asfortranarray(q.codes), q.scales, block)
+        assert np.array_equal(dequantize(fortran).ravel(), expected)
         half_gap = np.max(np.diff(NF4_LEVELS)) / 2.0
         assert np.array_equal(quantization_error_bound(q).ravel(),
                               scale * half_gap + np.spacing(scale))
@@ -178,6 +181,19 @@ class TestQuantizeDequantize:
         assert np.array_equal(values.ravel(), NF4_LEVELS[q.codes.ravel()] * scale)
         assert (bound == scale * np.max(np.diff(NF4_LEVELS)) / 2.0
                 + np.spacing(scale)).all()
+
+    @pytest.mark.parametrize("shape", [(1024, 1024), (1023, 1025)])
+    def test_quantize_bounded_memory(self, shape):
+        # Whole blocks are coded a chunk at a time, so no temporary is as
+        # large as the 8 MiB input; the codes and scales take 1.1 MiB.
+        w = RandomSource(6).normal(shape)
+        tracemalloc.start()
+        try:
+            quantize(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
 
     @pytest.mark.parametrize("seed", range(10))
     def test_per_entry_error_bound(self, seed):
@@ -218,9 +234,36 @@ def argmin_quantize(flat, block_size, levels):
 
 _LEVELS = np.asarray(GOLDEN_LEVELS)
 _MIDPOINTS = (_LEVELS[:-1] + _LEVELS[1:]) / 2
-# Rounded level midpoints and their neighbours one ulp either side.
-_ENTRY_POOL = np.concatenate([_MIDPOINTS, np.nextafter(_MIDPOINTS, -2.0),
-                              np.nextafter(_MIDPOINTS, 2.0)])
+
+
+def _ulp_windows(points, half_width):
+    """Rows of the 2 half_width + 1 consecutive floats centred on each point."""
+    below, above = [points], [points]
+    for _ in range(half_width):
+        below.insert(0, np.nextafter(below[0], -2.0))
+        above.append(np.nextafter(above[-1], 2.0))
+    return np.stack(below + above[1:], axis=1)
+
+
+def _argmin_switch_points():
+    """Each gap's switch point found by brute force: the first float, within
+    64 ulps of the gap's rounded midpoint, that argmin_quantize codes up."""
+    windows = _ulp_windows(_MIDPOINTS, 64)
+    # A unit anchor makes the block's scale 1, so every entry codes as is.
+    codes = argmin_quantize(np.concatenate([[1.0], windows.ravel()]),
+                            windows.size + 1, _LEVELS)[1][1:].reshape(windows.shape)
+    gaps = np.arange(15)[:, None]
+    # Each window must run from its gap's lower level to its upper one.
+    assert ((codes == gaps) | (codes == gaps + 1)).all()
+    assert (np.diff(codes.astype(int), axis=1) >= 0).all()
+    return windows[np.arange(15), np.argmax(codes == gaps + 1, axis=1)]
+
+
+_SWITCH_POINTS = _argmin_switch_points()
+# Rounded level midpoints, the switch points, and each one's neighbours one
+# ulp either side: six rows of 15.
+_ENTRY_POOL = np.concatenate([_ulp_windows(points, 1).T.ravel()
+                              for points in (_MIDPOINTS, _SWITCH_POINTS)])
 # Unscaled entries: the pool above, the levels themselves, zeros and
 # arbitrary values in [-1, 1].
 _ENTRIES = st.one_of(st.sampled_from(_ENTRY_POOL.tolist()),
@@ -244,16 +287,42 @@ class TestQuantizeMatchesArgminLoop:
         assert np.array_equal(back.scales, q.scales)
         assert back.block_size == q.block_size
 
-    @pytest.mark.parametrize("shape", [(1, 67), (67, 1)])
+    @pytest.mark.parametrize("shape", [(1, 115), (115, 1)])
     @pytest.mark.parametrize("bs", [16, 1])
     @pytest.mark.parametrize("exponent", [-997, 0, 997])  # about 1e-300 and 1e300
     def test_midpoints_zero_block_ragged_tail(self, shape, bs, exponent):
-        # At block size 16: three blocks of a unit anchor and 15 pool
+        # At block size 16: six blocks of a unit anchor and 15 pool
         # entries, one all-zero block, then a ragged tail of three.
-        anchored = np.hstack([np.ones((3, 1)), _ENTRY_POOL.reshape(3, 15)])
+        anchored = np.hstack([np.ones((6, 1)), _ENTRY_POOL.reshape(6, 15)])
         flat = np.concatenate([anchored.ravel(), np.zeros(16),
                                [-1.0, _MIDPOINTS[3], _MIDPOINTS[13]]])
         self.check(np.ldexp(flat, exponent), shape, bs)
+
+    def test_switch_points_match_argmin(self):
+        # The module derives its 15 switch points by stepping from the
+        # rounded midpoints; brute-force argmin over 129 ulps finds the same.
+        assert quant._SWITCH_POINTS == tuple(_SWITCH_POINTS.tolist())
+
+    # The chunk is 1024 blocks of 64. Blocks listed in zeroed are all -0.0.
+    @pytest.mark.parametrize("shape,bs,zeroed", [
+        ((1025, 64), 64, [512]),     # one block past a whole chunk
+        ((1025, 65), 64, [3, 1041]),  # 1041 whole blocks, a ragged one of 1 entry
+        ((300, 500), 70000, [1]),    # blocks wider than a chunk, a ragged one
+        ((3, 5), 64, []),            # a matrix under one block
+        ((2, 3), 64, [0]),
+    ])
+    def test_chunk_boundaries(self, shape, bs, zeroed):
+        src = np.random.default_rng(shape[0] + bs)
+        size = shape[0] * shape[1]
+        flat = np.where(src.random(size) < 0.5, src.uniform(-1.0, 1.0, size),
+                        src.choice(_ENTRY_POOL, size))
+        # Unit anchors keep the pool's entries exact after the division.
+        flat[::bs] = src.choice([-1.0, 1.0], flat[::bs].size)
+        for b in zeroed:
+            flat[b * bs:(b + 1) * bs] = -0.0
+        self.check(flat, shape, bs)
+        # check compares scales with ==, which takes -0.0 for +0.0.
+        assert not np.signbit(quantize(flat.reshape(shape), QuantConfig(bs)).scales).any()
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
