@@ -87,9 +87,9 @@ class SvdFactors:
 
 
 # _pow2_scaled leaves a matrix alone within 2^+-100 of 1: there every product
-# the kernels take, Gram matrices included, and every LAPACK driver run
-# unscaled (dsyevr rescales a Gram matrix above 2^255.5 or below 2^-485,
-# gesdd entries outside about 2^+-459).
+# the kernels take stays in range, Gram matrices within 2^-485 to 2^255.5,
+# where dsyevr would not rescale (its steps here never do), and gesdd runs
+# unscaled (it rescales entries outside about 2^+-459).
 _POW2_WINDOW = 100
 
 
@@ -199,13 +199,11 @@ def _bind(name: str, *argtypes):
 
 _I64, _PTR, _DBL, _CHAR = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_char
 _I64P = ctypes.POINTER(_I64)
-# layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz
-_DSYEVR = _bind("dsyevr", ctypes.c_int, _CHAR, _CHAR, _CHAR, _I64, _PTR, _I64, _DBL,
-                _DBL, _I64, _I64, _DBL, _I64P, _PTR, _PTR, _I64, _PTR)
 # layout, jobu, jobvt, m, n, a, lda, s, u, ldu, vt, ldvt, superb
 _DGESVD = _bind("dgesvd", ctypes.c_int, _CHAR, _CHAR, _I64, _I64, _PTR, _I64, _PTR,
                 _PTR, _I64, _PTR, _I64, _PTR)
-# dsyevr's own steps, for nuclear_norm. layout, uplo, n, a, lda, d, e, tau, work, lwork
+# dsyevr's own steps, for both Gram kernels (_tridiagonal, _eigenvectors).
+# layout, uplo, n, a, lda, d, e, tau, work, lwork
 _DSYTRD = _bind("dsytrd_work", ctypes.c_int, _CHAR, _I64, _PTR, _I64, _PTR, _PTR, _PTR,
                 _PTR, _I64)
 # n, d, e
@@ -235,41 +233,39 @@ def _gesvd(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vt
 
 
-def _gram_basis(t: np.ndarray, r: int) -> np.ndarray | None:
-    """Eigenvectors of t^T t for its r largest eigenvalues, largest first,
-    from LAPACK dsyevr, which computes only those r; None when dsyevr is not
-    bound or fails."""
-    if _DSYEVR is None:
+def _tridiagonal(t: np.ndarray):
+    """dsytrd's reduction of the Gram matrix t^T t, as (reduced, d, e, tau,
+    work) for _eigenvectors; None when t has no columns, when one of the
+    five tridiagonal routines is not bound or when dsytrd fails."""
+    n = t.shape[1]
+    if not n or None in (_DSYTRD, _DSTERF, _DSTEBZ, _DSTEIN, _DORMTR):
         return None
-    gram, n = t.T @ t, t.shape[1]
-    found, values = ctypes.c_int64(), np.empty(n)
-    # z is the n x r column-major eigenvector block, one vector per row.
-    z, support = np.empty((r, n)), np.empty(2 * n, np.int64)
-    # gram is symmetric, so its C-order buffer is also its column-major one.
-    info = _DSYEVR(102, b"V", b"I", b"L", n, gram.ctypes.data, n, 0.0, 0.0,
-                   n - r + 1, n, 0.0, found, values.ctypes.data, z.ctypes.data, n,
-                   support.ctypes.data)
-    return None if info != 0 or found.value != r else z[::-1].T
+    # dsyevr's workspace is (nb + 1) n for LAPACK's block size nb = 32; it
+    # gives dsytrd all but 5 n of it and dormtr all but 2 n. The same sizes
+    # here keep dsyevr's blocking, and so its bits.
+    reduced, work = t.T @ t, np.empty(31 * n)
+    d, e, tau = np.empty(n), np.empty(n), np.empty(n)
+    # reduced is symmetric, so its C-order buffer is also its column-major one.
+    if _DSYTRD(102, b"L", n, reduced.ctypes.data, n, d.ctypes.data, e.ctypes.data,
+               tau.ctypes.data, work.ctypes.data, 28 * n):
+        return None
+    return reduced, d, e, tau, work
 
 
-# The bound nuclear_norm keeps on the error estimate of the roots it sums
-# from the Gram spectrum, relative to their sum. A report's LoftQ ratio
-# moves about five times its nuclear error, so ratios stay within 1e-13.
-_GRAM_RTOL = 2e-14
-
-
-def _smallest_vectors(reduced: np.ndarray, d: np.ndarray, e: np.ndarray,
-                      tau: np.ndarray, work: np.ndarray, k: int) -> np.ndarray | None:
-    """Eigenvectors of the k smallest eigenvalues, as the rows of a k x n
-    array, of the symmetric matrix that dsytrd reduced to (reduced, d, e,
-    tau); None when a step fails. These are dsyevr's steps for IL = 1,
-    IU = k: dstebz, dstein, dormtr on the kept reflectors, then a selection
-    sort into ascending order."""
-    n = d.size
+def _eigenvectors(tri, il: int, iu: int) -> np.ndarray | None:
+    """Eigenvectors of the il-th to iu-th smallest eigenvalues (from 1) of
+    the matrix that _tridiagonal reduced to tri, as the rows of an
+    (iu - il + 1) x n array, smallest first; None when a step fails. These
+    are dsyevr's steps for RANGE = 'I' short of all n: dstebz, dstein,
+    dormtr on the kept reflectors, then a selection sort."""
+    reduced, d, e, tau, work = tri
+    n, k = d.size, iu - il + 1
     found, nsplit = _I64(), _I64()
-    values, block, split = np.empty(n), np.empty(n, np.int64), np.empty(n, np.int64)
-    if _DSTEBZ(b"I", b"B", n, 0.0, 0.0, 1, k, 0.0, d.ctypes.data, e.ctypes.data, found,
-               nsplit, values.ctypes.data, block.ctypes.data, split.ctypes.data) \
+    # Zeros, not np.empty: dstebz fills k of the n slots, and LAPACKE's
+    # dstein fails (info -6) when any of the n holds a NaN.
+    values, block, split = np.zeros(n), np.empty(n, np.int64), np.empty(n, np.int64)
+    if _DSTEBZ(b"I", b"B", n, 0.0, 0.0, il, iu, 0.0, d.ctypes.data, e.ctypes.data,
+               found, nsplit, values.ctypes.data, block.ctypes.data, split.ctypes.data) \
             or found.value != k:
         return None
     z, fail = np.empty((k, n)), np.empty(k, np.int64)
@@ -286,23 +282,28 @@ def _smallest_vectors(reduced: np.ndarray, d: np.ndarray, e: np.ndarray,
     return z
 
 
+def _gram_basis(t: np.ndarray, r: int) -> np.ndarray | None:
+    """Eigenvectors of t^T t for its r largest eigenvalues, largest first,
+    as columns; None when a tridiagonal step is not bound or fails."""
+    n, tri = t.shape[1], _tridiagonal(t)
+    z = None if tri is None else _eigenvectors(tri, n - r + 1, n)
+    return None if z is None else z[::-1].T
+
+
+# The bound nuclear_norm keeps on the error estimate of the roots it sums
+# from the Gram spectrum, relative to their sum. A report's LoftQ ratio
+# moves about five times its nuclear error, so ratios stay within 1e-13.
+_GRAM_RTOL = 2e-14
+
+
 def _gram_nuclear(t: np.ndarray) -> float | None:
     """Nuclear norm of the tall matrix t from its Gram spectrum, or None
     when nuclear_norm must take the full SVD instead."""
-    n = t.shape[1]
-    if not n or None in (_DSYTRD, _DSTERF, _DSTEBZ, _DSTEIN, _DORMTR):
-        return None
-    # One reduction to tridiagonal form serves the values and the vectors.
-    # dsyevr's workspace is (nb + 1) n for LAPACK's block size nb = 32; it
-    # gives dsytrd all but 5 n of it and dormtr all but 2 n. The same sizes
-    # here keep dsyevr's blocking, and so its bits.
-    reduced, work = t.T @ t, np.empty(31 * n)
-    d, e, tau = np.empty(n), np.empty(n), np.empty(n)
-    if _DSYTRD(102, b"L", n, reduced.ctypes.data, n, d.ctypes.data, e.ctypes.data,
-               tau.ctypes.data, work.ctypes.data, 28 * n):
+    tri = _tridiagonal(t)
+    if tri is None:
         return None
     # dsterf overwrites its (d, e): dsyevr's all-values path, on copies.
-    lam, scratch = d.copy(), e.copy()
+    n, lam, scratch = t.shape[1], tri[1].copy(), tri[2].copy()
     if _DSTERF(n, lam.ctypes.data, scratch.ctypes.data):
         return None
     eps_top = np.finfo(np.float64).eps * lam[-1]
@@ -316,7 +317,7 @@ def _gram_nuclear(t: np.ndarray) -> float | None:
         return None
     total = float(np.sum(roots[j:]))
     if k:
-        low = _smallest_vectors(reduced, d, e, tau, work, k)
+        low = _eigenvectors(tri, 1, k)
         if low is None:
             return None
         total += float(np.sum(np.linalg.svd(t @ low.T, compute_uv=False)))
@@ -336,8 +337,8 @@ def nuclear_norm(m: np.ndarray) -> float:
     digits (an exact rank-deficient fit, such as LoftQ's last step, leaves
     such zeros), and then as many more as it takes to bring the estimate of
     the summed roots within 2e-14 of their sum. The full SVD runs when k >
-    n / 8, or when dsyevr is not bound or fails. No u or v of m is formed,
-    so exact_svd's reconstruction check does not apply.
+    n / 8, or when a tridiagonal step is not bound or fails. No u or v of
+    m is formed, so exact_svd's reconstruction check does not apply.
     """
     m, e = _pow2_scaled(as_matrix(m))
     total = _gram_nuclear(m.T if m.shape[0] < m.shape[1] else m)
@@ -399,9 +400,9 @@ def leading_svd(w: np.ndarray, r: int) -> SvdFactors:
     shorter side (_gram_basis), and one Rayleigh-Ritz step on the tall
     r-column product (_ritz) turns it into singular triplets, so no full
     m x n SVD is taken. The one fallback, exact_svd(w).truncate(r), runs
-    when dsyevr is unbound or fails or the residual that the Ritz step does
-    not zero for any basis, w^T u - v s (tall or square w) or w v - u s
-    (wide w), has a relative_error above TOLERANCE.
+    when a tridiagonal step is unbound or fails or the residual that the
+    Ritz step does not zero for any basis, w^T u - v s (tall or square w)
+    or w v - u s (wide w), has a relative_error above TOLERANCE.
     """
     w, e = _pow2_scaled(as_matrix(w))
     _check_rank(w, r)

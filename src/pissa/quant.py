@@ -134,17 +134,6 @@ def quantize(m: np.ndarray, cfg: QuantConfig = QuantConfig()) -> QuantizedMatrix
     return QuantizedMatrix(codes.reshape(m.shape), scales, bs)
 
 
-def _entry_scales(q: QuantizedMatrix) -> np.ndarray:
-    """Each entry's block scale, in one float per entry, rows x cols.
-
-    Whole blocks are repeated, so at most one block past the last entry is
-    formed, and none when one block holds the matrix, however large the
-    block size (a PSQ4 header may claim one far larger than the matrix).
-    """
-    size = q.codes.size
-    return np.repeat(q.scales, min(q.block_size, size))[:size].reshape(q.shape)
-
-
 def dequantize(q: QuantizedMatrix) -> np.ndarray:
     """Map codes back through the codebook and per-block scales, scaling
     the levels in place: whole blocks by their scales, a ragged tail by the
@@ -167,7 +156,11 @@ def quantization_error_bound(q: QuantizedMatrix) -> np.ndarray:
     multiplying its level back by it each move the result by at most half
     an ulp of the scale, since the scaled entry and the level lie in [-1, 1].
     """
-    scales = _entry_scales(q)
+    # Each entry's block scale. Repeating whole blocks forms at most one block
+    # past the last entry, and none when one block holds the matrix, however
+    # large the block size (a PSQ4 header may claim one far larger).
+    size = q.codes.size
+    scales = np.repeat(q.scales, min(q.block_size, size))[:size].reshape(q.shape)
     return scales * (np.max(np.diff(NF4_LEVELS)) / 2.0) + np.spacing(scales)
 
 

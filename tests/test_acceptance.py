@@ -292,6 +292,16 @@ def test_criterion_11_quantizer_bit_exactness(capsys):
         q2 = quantize(dequantize(q1), cfg)
         idem_ok = idem_ok and np.array_equal(q1.codes, q2.codes) \
             and np.array_equal(q1.scales, q2.scales)
+    # The tie rule: each rounded level midpoint and its neighbours one ulp
+    # either side, in blocks anchored by +-1.0 (scale 1), code as an argmin
+    # over the levels, which takes the smaller index on a tie.
+    mid = (NF4_LEVELS[:-1] + NF4_LEVELS[1:]) / 2
+    ties = np.concatenate([np.nextafter(mid, -2.0), mid, np.nextafter(mid, 2.0)])
+    ties = np.stack([np.r_[1.0, ties], np.r_[-1.0, ties]])
+    tie_codes = quantize(ties, QuantConfig(block_size=ties.shape[1])).codes
+    ties_ok = np.array_equal(
+        tie_codes, np.argmin(np.abs(ties[..., None] - NF4_LEVELS), axis=-1))
     _report(capsys, 11, "quantizer is idempotent with golden codebook and "
-            "tight error bound", levels_ok and bound_ok and idem_ok,
-            f"levels {levels_ok}, bound {bound_ok}, idempotent {idem_ok}")
+            "tight error bound", levels_ok and bound_ok and idem_ok and ties_ok,
+            f"levels {levels_ok}, bound {bound_ok}, idempotent {idem_ok}, "
+            f"ties {ties_ok}")

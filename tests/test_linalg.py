@@ -42,15 +42,29 @@ def _small_tail():
     return (u * s) @ v.T
 
 
+# LAPACK's symmetric eigensolver driver, whose steps the Gram kernels run one
+# by one: the bits reference. layout, jobz, range, uplo, n, a, lda, vl, vu,
+# il, iu, abstol, m, w, z, ldz, isuppz
+_I64, _PTR, _DBL, _CHAR = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_char
+_DSYEVR = linalg._bind("dsyevr", ctypes.c_int, _CHAR, _CHAR, _CHAR, _I64, _PTR, _I64,
+                       _DBL, _DBL, _I64, _I64, _DBL, ctypes.POINTER(_I64), _PTR, _PTR,
+                       _I64, _PTR)
+# The routines whose one unbound condition selects the full-SVD fallbacks.
+_TRIDIAGONAL_STEPS = ("_DSYTRD", "_DSTERF", "_DSTEBZ", "_DSTEIN", "_DORMTR")
+
+
+def _steps_bound():
+    return None not in (getattr(linalg, name) for name in _TRIDIAGONAL_STEPS)
+
+
 def _dsyevr(g, il, iu, jobz):
     # Eigenvalues il..iu of g from LAPACK dsyevr and, for jobz b"V", their
     # eigenvectors as rows.
     n, g = g.shape[0], g.copy()
     found, values = ctypes.c_int64(), np.empty(n)
     z, support = np.empty((iu - il + 1, n)), np.empty(2 * n, np.int64)
-    info = linalg._DSYEVR(102, jobz, b"I", b"L", n, g.ctypes.data, n, 0.0, 0.0, il,
-                          iu, 0.0, found, values.ctypes.data, z.ctypes.data, n,
-                          support.ctypes.data)
+    info = _DSYEVR(102, jobz, b"I", b"L", n, g.ctypes.data, n, 0.0, 0.0, il, iu, 0.0,
+                   found, values.ctypes.data, z.ctypes.data, n, support.ctypes.data)
     assert info == 0 and found.value == iu - il + 1
     return values[:found.value], z
 
@@ -165,14 +179,16 @@ class TestNorms:
         assert nuclear_norm(m) == pytest.approx(_svd_sum(m), rel=1e-13, abs=0)
         assert calls == ["_DSYTRD", "_DORMTR"]
 
-    @pytest.mark.parametrize("n", [64, 160])
+    @pytest.mark.parametrize("n", [64, 160, 512])
     def test_tridiagonal_steps_keep_dsyevr_bits(self, n, monkeypatch):
         # With dsyevr's workspaces, its steps give the bits of its
-        # all-values call (JOBZ = 'N') and of its bottom-k vectors call
-        # (JOBZ = 'V', IL = 1, IU = k); at n = 64 its dormtr runs unblocked.
+        # all-values call (JOBZ = 'N'), of its bottom-k vectors call
+        # (JOBZ = 'V', IL = 1, IU = k) and of its top-r vectors call
+        # (IL = n - r + 1, IU = n), leading_svd's basis; at n = 64 its
+        # dormtr runs unblocked.
         m = _loftq_residual(n)
         seen = {}
-        dsterf, smallest = linalg._DSTERF, linalg._smallest_vectors
+        dsterf = linalg._DSTERF
 
         def values(size, d, e):
             info = dsterf(size, d, e)
@@ -180,17 +196,18 @@ class TestNorms:
                 ctypes.cast(d, ctypes.POINTER(ctypes.c_double)), (size,)).copy()
             return info
 
-        def vectors(*args):
-            seen["vectors"] = smallest(*args)
-            return seen["vectors"]
-
         monkeypatch.setattr(linalg, "_DSTERF", values)
-        monkeypatch.setattr(linalg, "_smallest_vectors", vectors)
+        vectors = _spy(monkeypatch, "_eigenvectors")
         nuclear_norm(m)
-        k = seen["vectors"].shape[0]
+        assert len(vectors) == 1
+        k = vectors[0].shape[0]
         assert k >= 4  # LoftQ's exact rank-4 fit leaves four zero roots
         assert np.array_equal(seen["values"], _dsyevr(m.T @ m, 1, n, b"N")[0])
-        assert np.array_equal(seen["vectors"], _dsyevr(m.T @ m, 1, k, b"V")[1])
+        assert np.array_equal(vectors[0], _dsyevr(m.T @ m, 1, k, b"V")[1])
+        for w in (m, generate_spectral_matrix(n, n, 1.0, 10)):
+            for r in (1, 16):
+                top = _dsyevr(w.T @ w, n - r + 1, n, b"V")[1]
+                assert np.array_equal(linalg._gram_basis(w, r), top[::-1].T)
 
     def test_nuclear_zero_matrix_is_exactly_zero(self):
         assert nuclear_norm(np.zeros((5, 3))) == 0.0
@@ -354,7 +371,7 @@ def _forbid_full_svd(monkeypatch, w):
 
     def thin_only(a, *args, **kwargs):
         if a.shape == w.shape:
-            raise AssertionError("leading_svd fell back to the full SVD")
+            raise AssertionError("the full SVD ran")
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", thin_only)
@@ -368,11 +385,12 @@ def _assert_same_bits(f, ref):
 class TestLeadingSvd:
     @pytest.mark.parametrize("case", LEADING_CASES)
     def test_matches_truncated_exact_svd(self, case, monkeypatch):
-        # The basis comes from dsyevr where numpy's LAPACK exports it, so the
-        # full SVD must not run there.
+        # The basis comes from the tridiagonal steps where numpy's LAPACK
+        # exports them, so the full SVD must not run there; "full" takes
+        # all min(m, n) vectors by dstebz and dstein.
         w, r = LEADING_CASES[case]
         ref = exact_svd(w).truncate(r)
-        if linalg._DSYEVR is not None:
+        if _steps_bound():
             _forbid_full_svd(monkeypatch, w)
         f = leading_svd(w, r)
         assert f.u.shape == ref.u.shape and f.v.shape == ref.v.shape
@@ -393,11 +411,15 @@ class TestLeadingSvd:
 
     @pytest.mark.parametrize("case", LEADING_CASES)
     def test_without_dsyevr_returns_truncated_exact_svd(self, case, monkeypatch):
-        # Without dsyevr there is no eigenvector basis: leading_svd returns
-        # its one fallback, exact_svd(w).truncate(r), bit for bit.
+        # Without any one of the five tridiagonal routines there is no
+        # eigenvector basis: leading_svd returns its one fallback,
+        # exact_svd(w).truncate(r), bit for bit.
         w, r = LEADING_CASES[case]
-        monkeypatch.setattr(linalg, "_DSYEVR", None)
-        _assert_same_bits(leading_svd(w, r), exact_svd(w).truncate(r))
+        ref = exact_svd(w).truncate(r)
+        for name in _TRIDIAGONAL_STEPS:
+            monkeypatch.setattr(linalg, name, None)
+            _assert_same_bits(leading_svd(w, r), ref)
+            monkeypatch.undo()
 
     def test_deterministic(self):
         w = generate_spectral_matrix(48, 32, 1.0, 7)
@@ -408,37 +430,43 @@ class TestLeadingSvd:
     @pytest.mark.parametrize("wide", [False, True])
     @pytest.mark.parametrize("info,short", [(1, 0), (0, 1)])
     def test_failed_dsyevr_falls_back_to_exact_svd(self, monkeypatch, wide, info, short):
-        # A failed call (info != 0, or fewer than r values) may have
-        # overwritten the Gram matrix, as LAPACK does: dsyevr is not called
-        # again, and the result is exact_svd(w).truncate(r), bit for bit.
+        # Each of dsyevr's steps in turn fails after it has run, with info
+        # != 0, or (dstebz, the one that counts) with one value short. No
+        # step runs after it, and the result is exact_svd(w).truncate(r),
+        # bit for bit.
         w = generate_spectral_matrix(30, 20, 1.0, 8)
         w = w.T if wide else w
         ref = exact_svd(w).truncate(5)
-        calls = []
+        steps = ["_DSYTRD", "_DSTEBZ", "_DSTEIN", "_DORMTR"]
+        for failing in steps if info else ["_DSTEBZ"]:
+            calls = []
+            for name in steps:
+                def step(*args, name=name, routine=getattr(linalg, name)):
+                    calls.append(name)
+                    got = routine(*args)
+                    if name != failing:
+                        return got
+                    if short:
+                        args[10].value -= short  # dstebz's count of values found
+                    return info or got
 
-        def failing(layout, jobz, rng, uplo, n, a, lda, vl, vu, il, iu,
-                    abstol, found, *rest):
-            calls.append((n, il, iu))
-            ctypes.memset(a, 0, n * n * 8)
-            found.value = iu - il + 1 - short
-            return info
-
-        monkeypatch.setattr(linalg, "_DSYEVR", failing)
-        f = leading_svd(w, 5)
-        assert calls == [(20, 16, 20)]
-        _assert_same_bits(f, ref)
+                monkeypatch.setattr(linalg, name, step)
+            f = leading_svd(w, 5)
+            monkeypatch.undo()
+            assert calls == steps[:steps.index(failing) + 1]
+            _assert_same_bits(f, ref)
 
     @pytest.mark.parametrize("scale", [1e150, 1e160, 1e-160, 1e-170, 1e300])
     @pytest.mark.parametrize("shape", [(32, 32), (8, 8)], ids=["spectral", "ones"])
     def test_extreme_scales_take_the_dsyevr_path(self, monkeypatch, scale, shape):
-        # Out of the Gram product's range the dsyevr basis must still serve:
+        # Out of the Gram product's range the tridiagonal basis must still serve:
         # the full SVD does not run, and the triplets match exact_svd's up to
         # rounding. An 8x8 matrix of ones has rank 1, so three of the four
         # singular values asked for are zero.
         w = scale * (generate_spectral_matrix(32, 32, 1.0, 0)
                      if shape == (32, 32) else np.ones(shape))
         ref = exact_svd(w).truncate(4)
-        if linalg._DSYEVR is not None:
+        if _steps_bound():
             _forbid_full_svd(monkeypatch, w)
         got = leading_svd(w, 4)
         tol = 1e-12 * ref.s[0]
@@ -491,7 +519,7 @@ class TestLeadingSvd:
 
 
 def test_every_initializer_runs_without_dsyevr(monkeypatch):
-    # numpy on another LAPACK (no LAPACKE dsyevr or tridiagonal symbols):
+    # numpy on another LAPACK (no LAPACKE tridiagonal symbols):
     # leading_svd takes the full SVD and nuclear_norm the SVD sum, and every
     # initializer gives the layer it gives with them, up to rounding.
     w = generate_spectral_matrix(40, 32, 1.0, 3)
@@ -502,7 +530,7 @@ def test_every_initializer_runs_without_dsyevr(monkeypatch):
     with_dsyevr = {name: init(w) for name, init in inits.items()}
     err = w - merge(with_dsyevr["loftq_T3"])
     nuclear = nuclear_norm(err)
-    for name in ("_DSYEVR", "_DSYTRD", "_DSTERF", "_DSTEBZ", "_DSTEIN", "_DORMTR"):
+    for name in _TRIDIAGONAL_STEPS:
         monkeypatch.setattr(linalg, name, None)
     for name, init in inits.items():
         layer, ref = init(w), with_dsyevr[name]
@@ -512,6 +540,36 @@ def test_every_initializer_runs_without_dsyevr(monkeypatch):
                                    rtol=0, atol=1e-12)
     assert nuclear_norm(err) == _svd_sum(err)
     assert nuclear_norm(err) == pytest.approx(nuclear, rel=1e-12, abs=0)
+
+
+def test_numpy_exports_every_lapack_routine_linalg_binds():
+    # numpy's OpenBLAS wheels export all six; a wheel that drops one fails
+    # here by name rather than silently taking a full-SVD fallback.
+    missing = [name for name in ("_DGESVD",) + _TRIDIAGONAL_STEPS
+               if getattr(linalg, name) is None]
+    assert not missing
+
+
+def test_nan_filled_buffers_keep_both_gram_paths(monkeypatch):
+    # dstebz fills only the slots of the eigenvalues it finds, and LAPACKE's
+    # dstein rejects a NaN in any of its n: with np.empty handing out
+    # NaN-filled float buffers, as reused memory may, both Gram kernels
+    # keep their path (no full SVD) and their bits.
+    m, w = _loftq_residual(64), generate_spectral_matrix(64, 64, 1.0, 9)
+    total, bases = nuclear_norm(m), {r: leading_svd(w, r) for r in (1, 16)}
+    empty = np.empty
+
+    def nan_filled(*args, **kwargs):
+        a = empty(*args, **kwargs)
+        if a.dtype.kind == "f":
+            a.fill(np.nan)
+        return a
+
+    monkeypatch.setattr(np, "empty", nan_filled)
+    _forbid_full_svd(monkeypatch, m)  # m and w share their shape
+    assert nuclear_norm(m) == total
+    for r, ref in bases.items():
+        _assert_same_bits(leading_svd(w, r), ref)
 
 
 def householder_qr(m):
@@ -701,7 +759,7 @@ class TestRandomizedSvd:
         # and its s (or sum) times 2^k, bit for bit wherever 2^k w holds the
         # bits of w. pissa_init's factors carry sqrt(s), so its reference is
         # the call on 2^(k mod 2) w. The cases: 2^+-3 runs unscaled, at
-        # 2^+-200 dsyevr rescaled the Gram matrix, at 2^+-300 the Krylov
+        # 2^+-200 dsyevr would rescale the Gram matrix, at 2^+-300 the Krylov
         # blocks w (w^T q) overflowed or underflowed to 0 and the call lost
         # its depth, at 2^+-700 gesdd rescales, and 2^+-1000 nears the limits.
         w = generate_spectral_matrix(*shape, 1.0, 3)
