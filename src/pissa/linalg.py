@@ -2,9 +2,10 @@
 
 All routines operate on 2-D float64 numpy arrays ("matrices") and are pure
 functions of their inputs. The exact SVD is the accuracy reference for the
-rest of the package; the leading SVD gives its top r triplets from the
-Gram eigenproblem without a full SVD; the randomized SVD trades accuracy
-for speed via a Gaussian block Krylov range finder.
+rest of the package; the leading SVD gives its top r triplets without a
+full SVD, from a block Krylov basis where sigma_r has a gap and from the
+Gram eigenproblem otherwise; the randomized SVD trades accuracy for speed
+via the same Gaussian block Krylov range finder at a depth it is given.
 """
 
 from __future__ import annotations
@@ -393,19 +394,8 @@ def _ritz(p: np.ndarray, basis: np.ndarray, swap: bool) -> SvdFactors:
     return SvdFactors(u, small.s, v)
 
 
-def leading_svd(w: np.ndarray, r: int) -> SvdFactors:
-    """Top r singular triplets: exact_svd(w).truncate(r) up to rounding.
-
-    The basis comes from the top r eigenvectors of the Gram matrix of w's
-    shorter side (_gram_basis), and one Rayleigh-Ritz step on the tall
-    r-column product (_ritz) turns it into singular triplets, so no full
-    m x n SVD is taken. The one fallback, exact_svd(w).truncate(r), runs
-    when a tridiagonal step is unbound or fails or the residual that the
-    Ritz step does not zero for any basis, w^T u - v s (tall or square w)
-    or w v - u s (wide w), has a relative_error above TOLERANCE.
-    """
-    w, e = _pow2_scaled(as_matrix(w))
-    _check_rank(w, r)
+def _gram_svd(w: np.ndarray, r: int) -> SvdFactors:
+    """leading_svd's Gram path on the scaled w, with its exact_svd fallback."""
     wide = w.shape[0] < w.shape[1]
     basis = _gram_basis(w.T if wide else w, r)
     # w^T @ basis and w^T @ u are taken as (basis^T w)^T and (u^T w)^T: with
@@ -415,6 +405,41 @@ def leading_svd(w: np.ndarray, r: int) -> SvdFactors:
     if f is None or not relative_error(w @ f.v - f.u * f.s if wide
                                        else (f.u.T @ w).T - f.v * f.s, w) <= TOLERANCE:
         f = exact_svd(w).truncate(r)
+    return f
+
+
+# leading_svd's Krylov path: its depth, give-up share and fixed source.
+_KRYLOV_DEPTH, _KRYLOV_GIVE_UP, _KRYLOV_SOURCE = 3, 0.05, RandomSource(12345)
+
+
+def leading_svd(w: np.ndarray, r: int) -> SvdFactors:
+    """Top r singular triplets: exact_svd(w).truncate(r) up to rounding.
+
+    Two paths, neither of which takes a full m x n SVD; each result must
+    meet the contract on the residual its Ritz step does not zero for any
+    basis, w v - u s for a basis of w's column space and w^T u - v s for
+    one of its row space: relative_error(residual, w) <= TOLERANCE.
+
+    The Krylov path runs first, when 4 r < min(m, n), so its basis never
+    fills the space: randomized_svd's block Krylov loop at depth 3 from a
+    fixed internal RandomSource, then one Rayleigh-Ritz step (_ritz). It
+    converges at a rate set by the gap sigma_r / sigma_(r+1), so it gives
+    up after depth 1 when a column of the new block keeps more than 0.05
+    of its norm after its projections off the basis: about (sigma_(r+1) /
+    sigma_r)^2 where a gap exists, a large share where the spectrum runs
+    on flat past sigma_r. The Gram path runs otherwise: the top r
+    eigenvectors of the Gram matrix of w's shorter side (_gram_basis) and
+    one Ritz step on the tall r-column product. Its fallback,
+    exact_svd(w).truncate(r), runs when a tridiagonal step is unbound or
+    fails or it misses the contract.
+    """
+    w, e = _pow2_scaled(as_matrix(w))
+    _check_rank(w, r)
+    f = None
+    if (_KRYLOV_DEPTH + 1) * r < min(w.shape):
+        f = _krylov_svd(w, r, _KRYLOV_DEPTH, _KRYLOV_SOURCE, _KRYLOV_GIVE_UP)
+    if f is None or not relative_error(w @ f.v - f.u * f.s, w) <= TOLERANCE:
+        f = _gram_svd(w, r)
     f.s = _unscaled(f.s, e)
     return f
 
@@ -455,6 +480,16 @@ def randomized_svd(w: np.ndarray, r: int, niter: int,
     _check_rank(w, r)
     if niter < 0:
         raise ValueError("niter must be non-negative")
+    f = _krylov_svd(w, r, niter, rng)
+    f.s = _unscaled(f.s, e)
+    return f
+
+
+def _krylov_svd(w: np.ndarray, r: int, niter: int, rng: RandomSource,
+                give_up: float | None = None) -> SvdFactors | None:
+    """randomized_svd's Krylov loop and Ritz step on the scaled w; None
+    when give_up is set and a column of the depth-2 block keeps more than
+    give_up of its norm after its projections off blocks 0 and 1."""
     # One buffer for all blocks: a new, wider array per block left heap holes
     # that lifted peak RSS by 8 MB in a 1024^2 run. Row block j of rows is
     # block j's q^T w: the next pass starts from it, and together the rows
@@ -474,14 +509,15 @@ def randomized_svd(w: np.ndarray, r: int, niter: int,
         done = basis[:, :k]
         for _ in range(2):
             z -= done @ (done.T @ z)
+        after = np.linalg.norm(z, axis=0)
+        if give_up is not None and depth == 1 and np.any(after > give_up * before):
+            return None
         # Deflate, then cut to the columns left: a full basis ends the loop too.
-        z = z[:, np.linalg.norm(z, axis=0) > 1e-10 * before][:, :width - k]
+        z = z[:, after > 1e-10 * before][:, :width - k]
         if not z.shape[1]:
             break
         q, _ = qr_thin(z)
         q -= done @ (done.T @ q)
         basis[:, k:k + q.shape[1]] = q
         k += q.shape[1]
-    f = _ritz(rows[:k].T, basis[:, :k], swap=True).truncate(r)
-    f.s = _unscaled(f.s, e)
-    return f
+    return _ritz(rows[:k].T, basis[:, :k], swap=True).truncate(r)

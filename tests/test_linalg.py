@@ -350,14 +350,15 @@ def test_gesvd_reconstructs(name):
     assert linalg.relative_error((u * s) @ vt - w, w) <= linalg.TOLERANCE
 
 
-# (matrix, r) pairs for leading_svd: tall, wide, r = min(m, n), rank
-# deficient (rank 4, asked for 6), zero, and a single row.
+# (matrix, r) pairs for leading_svd's Gram path (4 r >= min(m, n), so the
+# Krylov path does not run): tall, wide, r = min(m, n), rank deficient
+# (rank 4, asked for 6), zero, and a single row.
 LEADING_CASES = {
     "tall": (generate_spectral_matrix(40, 24, 1.0, 1), 6),
     "wide": (generate_spectral_matrix(24, 40, 1.0, 2), 6),
     "full": (RandomSource(3).normal((20, 12)), 12),
     "rank_deficient": (RandomSource(4).normal((30, 4))
-                       @ RandomSource(5).normal((4, 25)), 6),
+                       @ RandomSource(5).normal((4, 24)), 6),
     "zero": (np.zeros((7, 5)), 3),
     "row": (RandomSource(6).normal((1, 9)), 1),
 }
@@ -468,7 +469,10 @@ class TestLeadingSvd:
         ref = exact_svd(w).truncate(4)
         if _steps_bound():
             _forbid_full_svd(monkeypatch, w)
+        reduced = _spy(monkeypatch, "_tridiagonal")
         got = leading_svd(w, 4)
+        # The Gram path ran; on the 32 x 32 matrix the Krylov path gave up.
+        assert len(reduced) == 1
         tol = 1e-12 * ref.s[0]
         np.testing.assert_allclose(got.s, ref.s, rtol=1e-12, atol=tol)
         np.testing.assert_allclose(got.reconstruct(), ref.reconstruct(),
@@ -518,15 +522,133 @@ class TestLeadingSvd:
             leading_svd(np.ones((10, 12)), r)
 
 
+def _with_spectrum(m, n, s, seed):
+    # An m x n matrix with singular values s and Gaussian singular vectors.
+    src = RandomSource(seed)
+    u, _ = np.linalg.qr(src.normal((m, s.size)))
+    v, _ = np.linalg.qr(src.spawn(1).normal((n, s.size)))
+    return (u * s) @ v.T
+
+
+def _gapped(m, n, r, gap=20.0):
+    # sigma_r / sigma_(r+1) = gap, then a slow tail.
+    k = min(m, n)
+    return _with_spectrum(m, n, np.concatenate([np.geomspace(8.0, 4.0, r),
+                                                np.geomspace(4.0 / gap, 0.01, k - r)]), 43)
+
+
+def _qpissa_second_target(n):
+    # QPiSSA's second-round target, w minus its quantized residual base:
+    # the adapter plus NF4 noise, with sigma_16 / sigma_17 far from 1.
+    w = generate_spectral_matrix(n, n, 1.0, 31)
+    return w - dequantize(qpissa_init(w, 16).base)
+
+
+class TestLeadingSvdKrylov:
+    # The Krylov path: 4 r < min(m, n), and a gap after sigma_r.
+
+    @staticmethod
+    def _assert_top_triplets(f, w, ref, projector_atol):
+        r = ref.rank
+        np.testing.assert_allclose(f.s, ref.s, rtol=1e-12, atol=0)
+        for a, b in ((f.u, ref.u), (f.v, ref.v)):
+            np.testing.assert_allclose(a @ a.T, b @ b.T, rtol=0, atol=projector_atol)
+            np.testing.assert_allclose(a.T @ a, np.eye(r), rtol=0, atol=1e-12)
+        assert linalg.relative_error(w @ f.v - f.u * f.s, w) <= linalg.TOLERANCE
+
+    @pytest.mark.parametrize("tail", ["gap", "flat"])
+    @pytest.mark.parametrize("tie", [1e-3, 1e-8])
+    def test_near_tie_matches_exact_svd(self, tie, tail, monkeypatch):
+        # sigma_r / sigma_(r+1) = 1 + tie. A residual check cannot see a
+        # missing triplet: had the basis missed u_r, s_r would read
+        # sigma_(r+1), off by tie relative. With a gap after sigma_(r+1) the
+        # Krylov path serves the call; with a flat tail it gives up. The
+        # pair's vectors mix by up to about eps / tie, hence the projectors'
+        # tolerance.
+        r = 8
+        rest = np.geomspace(1e-2, 1e-3, 70) if tail == "gap" else np.linspace(0.99, 0.5, 70)
+        w = _with_spectrum(96, 80, np.concatenate([np.geomspace(8.0, 2.0, r - 1),
+                                                   [1.0, 1.0 / (1.0 + tie)], rest]), 41)
+        ref = exact_svd(w).truncate(r)
+        krylov = _spy(monkeypatch, "_krylov_svd")
+        f = leading_svd(w, r)
+        assert len(krylov) == 1 and (krylov[0] is not None) == (tail == "gap")
+        self._assert_top_triplets(f, w, ref, 1e-14 / tie)
+
+    def test_gapped_target_takes_the_krylov_path(self, monkeypatch):
+        # No Gram matrix is reduced and no full SVD runs; the triplets are
+        # exact_svd's, sign convention included, to within the residual
+        # contract over the gap (vectors read 1e-11 off, against 1e-14 for
+        # the Gram path's).
+        w = _qpissa_second_target(256)
+        ref = exact_svd(w).truncate(16)
+        krylov, reduced = _spy(monkeypatch, "_krylov_svd"), _spy(monkeypatch, "_tridiagonal")
+        _forbid_full_svd(monkeypatch, w)
+        f = leading_svd(w, 16)
+        assert len(krylov) == 1 and krylov[0] is not None and not reduced
+        self._assert_top_triplets(f, w, ref, 1e-10)
+        for got, want in ((f.u, ref.u), (f.v, ref.v)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    def test_flat_target_gives_up_with_the_gram_bits(self, monkeypatch):
+        # LoftQ's first target, the NF4 error of w, runs on flat past
+        # sigma_16: the path gives up after depth 1 (two blocks QR'd), and
+        # the result is the Gram path's, bit for bit.
+        w = generate_spectral_matrix(256, 256, 1.0, 31)
+        w = w - dequantize(quantize(w))
+        ref = linalg._gram_svd(w, 16)
+        krylov = _spy(monkeypatch, "_krylov_svd")
+        widths = []
+        monkeypatch.setattr(linalg, "qr_thin",
+                            lambda m, qr=linalg.qr_thin: widths.append(m.shape[1]) or qr(m))
+        _assert_same_bits(leading_svd(w, 16), ref)
+        assert krylov == [None] and widths == [16, 16]
+
+    def test_missed_contract_takes_the_gram_bits(self, monkeypatch):
+        # At sigma_r / sigma_(r+1) = 4 the path runs to depth 3 (the new
+        # block keeps under 0.05 of its norm), but its residual, about 1e-7,
+        # misses the contract: the result is the Gram path's, bit for bit.
+        w = _gapped(64, 48, 4, gap=4.0)
+        ref = linalg._gram_svd(w, 4)
+        krylov = _spy(monkeypatch, "_krylov_svd")
+        _assert_same_bits(leading_svd(w, 4), ref)
+        assert len(krylov) == 1 and krylov[0] is not None
+
+    def test_rank_deficient_past_its_rank(self, monkeypatch):
+        # Rank 4 asked for 6: the depth-1 block is deflated away, so the
+        # Ritz step runs on the first block, and its two extra triplets
+        # have zero singular values.
+        w = RandomSource(4).normal((30, 4)) @ RandomSource(5).normal((4, 25))
+        ref = exact_svd(w).truncate(6)
+        krylov = _spy(monkeypatch, "_krylov_svd")
+        f = leading_svd(w, 6)
+        assert len(krylov) == 1 and krylov[0] is not None
+        tol = 1e-12 * ref.s[0]
+        np.testing.assert_allclose(f.s, ref.s, rtol=1e-12, atol=tol)
+        for a, b in ((f.u[:, :4], ref.u[:, :4]), (f.v[:, :4], ref.v[:, :4])):
+            np.testing.assert_allclose(a @ a.T, b @ b.T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(f.reconstruct(), ref.reconstruct(), rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("shape", [(64, 48), (48, 64)], ids=["tall", "wide"])
+    def test_deterministic(self, shape, monkeypatch):
+        w = _gapped(*shape, 4)
+        krylov = _spy(monkeypatch, "_krylov_svd")
+        a, b = leading_svd(w, 4), leading_svd(w, 4)
+        assert len(krylov) == 2 and None not in krylov
+        _assert_same_bits(a, b)
+
+
 def test_every_initializer_runs_without_dsyevr(monkeypatch):
     # numpy on another LAPACK (no LAPACKE tridiagonal symbols):
     # leading_svd takes the full SVD and nuclear_norm the SVD sum, and every
-    # initializer gives the layer it gives with them, up to rounding.
+    # initializer gives the layer it gives with them, up to rounding. At
+    # rank 8 of 40 x 32, 4 r is not below min(m, n): no call takes the
+    # Krylov path, which needs no tridiagonal step.
     w = generate_spectral_matrix(40, 32, 1.0, 3)
-    inits = {name: lambda w, init=init: init(w, 4, RandomSource(1), QuantConfig())
+    inits = {name: lambda w, init=init: init(w, 8, RandomSource(1), QuantConfig())
              for name, init in STRATEGIES.items()}
-    inits["qpissa_T3"] = lambda w: qpissa_init(w, 4, T=3)
-    inits["loftq_T3"] = lambda w: loftq_init(w, 4, T=3)
+    inits["qpissa_T3"] = lambda w: qpissa_init(w, 8, T=3)
+    inits["loftq_T3"] = lambda w: loftq_init(w, 8, T=3)
     with_dsyevr = {name: init(w) for name, init in inits.items()}
     err = w - merge(with_dsyevr["loftq_T3"])
     nuclear = nuclear_norm(err)
@@ -751,9 +873,9 @@ class TestRandomizedSvd:
             randomized_svd(RandomSource(0).normal((4, 4)), 2, -1, RandomSource(0))
 
     @pytest.mark.parametrize("k", [3, -3, 200, -200, 300, -300, 700, -700, 1000, -1000])
-    @pytest.mark.parametrize("shape", [(64, 48), (48, 64), (48, 48)],
-                             ids=["tall", "wide", "square"])
-    def test_extreme_scales_keep_the_krylov_depth(self, shape, k):
+    @pytest.mark.parametrize("shape", [(64, 48), (48, 64), (48, 48), "gapped"],
+                             ids=["tall", "wide", "square", "gapped"])
+    def test_extreme_scales_keep_the_krylov_depth(self, shape, k, monkeypatch):
         # The equivariance of every SVD entry, randomized_svd's Krylov depth
         # included: on 2^k w each kernel gives the scale-1 call's u and v
         # and its s (or sum) times 2^k, bit for bit wherever 2^k w holds the
@@ -762,7 +884,10 @@ class TestRandomizedSvd:
         # 2^+-200 dsyevr would rescale the Gram matrix, at 2^+-300 the Krylov
         # blocks w (w^T q) overflowed or underflowed to 0 and the call lost
         # its depth, at 2^+-700 gesdd rescales, and 2^+-1000 nears the limits.
-        w = generate_spectral_matrix(*shape, 1.0, 3)
+        # leading_svd's Krylov path serves the gapped case only.
+        w = (_gapped(64, 48, 4) if shape == "gapped"
+             else generate_spectral_matrix(*shape, 1.0, 3))
+        krylov = _spy(monkeypatch, "_krylov_svd")
         wk, odd = np.ldexp(w, k), k & 1
         exact = np.array_equal(np.ldexp(wk, -k), w)
 
@@ -782,6 +907,7 @@ class TestRandomizedSvd:
                      (np.ldexp(got.adapter.b, -half), ref.adapter.b),
                      (np.ldexp(got.base, odd - k), ref.base)):
             same(a, b)
+        assert (None not in krylov) == (shape == "gapped")
 
 
 # sigma_1 of 1.7e308 times ones (3.4e308 at 2 x 2) lies past the largest float64.

@@ -539,18 +539,19 @@ class TestErrorReductionRatio:
             assert np.sum(f.s) == pytest.approx(expected, rel=1e-12)
 
     def test_baseline_computed_once_per_matrix(self, monkeypatch):
+        # The baseline's work starts with the direct-quantization error.
         calls = []
-        qlora_error_real = quant.qlora_error
+        direct_error_real = quant._direct_error
 
         def spy(w, cfg):
             calls.append(w.shape)
-            return qlora_error_real(w, cfg)
+            return direct_error_real(w, cfg)
 
-        monkeypatch.setattr(quant, "qlora_error", spy)
-        monkeypatch.setattr(quant, "_baseline_memo", (None, 0.0))
         cfg = QuantConfig(block_size=16)
         w = generate_spectral_matrix(24, 32, 1.0, 6)
-        baseline = qlora_error_real(w, cfg)
+        baseline = qlora_error(w, cfg)
+        monkeypatch.setattr(quant, "_direct_error", spy)
+        monkeypatch.setattr(quant, "_baseline_memo", (None, 0.0))
         reports = [quant_report(w, init(w), cfg) for init in (
             lambda w: qlora_init(w, 4, RandomSource(0), cfg),
             lambda w: qpissa_init(w, 4, 2, cfg),
@@ -573,6 +574,27 @@ class TestErrorReductionRatio:
         cfg8 = QuantConfig(block_size=8)
         error_reduction_ratio(w, qpissa_init(w, 4, 1, cfg8), cfg8)
         assert calls == [(24, 32)] * 2 + [(32, 24), (24, 32)]
+
+    @pytest.mark.parametrize("method", ["qlora", "qpissa"])
+    def test_zero_adapter_report_reuses_its_nuclear_norm(self, method, monkeypatch):
+        # A zero-adapter layer's error matrix holds the bits of the direct-
+        # quantization error, so a baseline memo miss reuses the report's
+        # own nuclear norm: one call, where another layer takes two.
+        cfg = QuantConfig()
+        w = generate_spectral_matrix(128, 128, 1.0, 7)
+        layer = (qlora_init(w, 16, RandomSource(0), cfg) if method == "qlora"
+                 else qpissa_init(w, 16, 1, cfg))
+        baseline = qlora_error(w, cfg)
+        calls = []
+        monkeypatch.setattr(quant, "nuclear_norm",
+                            lambda m, real=quant.nuclear_norm: calls.append(m) or real(m))
+        monkeypatch.setattr(quant, "_baseline_memo", (None, 0.0))
+        rep = quant_report(w, layer, cfg)
+        assert len(calls) == (1 if method == "qlora" else 2)
+        assert rep.reduction_ratio_percent == (1.0 - rep.nuclear_error / baseline) * 100.0
+        if method == "qlora":
+            assert rep.reduction_ratio_percent == 0.0
+            assert rep.nuclear_error == baseline
 
     def test_block_size_mismatch_rejected(self):
         # A layer quantized at 16 against a baseline quantized at 64 would
