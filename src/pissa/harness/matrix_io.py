@@ -85,7 +85,7 @@ def load_quantized(path) -> QuantizedMatrix:
         raise FileFormatError(f"{path}: unsupported version {version}")
     if block_size < 1:
         raise FileFormatError(f"{path}: invalid block_size {block_size}")
-    nblocks = math.ceil(rows * cols / block_size) if rows * cols else 0
+    nblocks = math.ceil(rows * cols / block_size)
     ncode_bytes = math.ceil(rows * cols / 2)
     expected = 20 + nblocks * 8 + ncode_bytes
     if len(data) != expected:

@@ -427,7 +427,10 @@ def leading_svd(w: np.ndarray, r: int) -> SvdFactors:
     up after depth 1 when a column of the new block keeps more than 0.05
     of its norm after its projections off the basis: about (sigma_(r+1) /
     sigma_r)^2 where a gap exists, a large share where the spectrum runs
-    on flat past sigma_r. The Gram path runs otherwise: the top r
+    on flat past sigma_r. As the residual cannot see a triplet the basis
+    misses, it also gives up unless no triplet outside the basis can
+    belong to the top r (_krylov_svd's separation test), which a near tie
+    at r never passes. The Gram path runs otherwise: the top r
     eigenvectors of the Gram matrix of w's shorter side (_gram_basis) and
     one Ritz step on the tall r-column product. Its fallback,
     exact_svd(w).truncate(r), runs when a tridiagonal step is unbound or
@@ -487,9 +490,12 @@ def randomized_svd(w: np.ndarray, r: int, niter: int,
 
 def _krylov_svd(w: np.ndarray, r: int, niter: int, rng: RandomSource,
                 give_up: float | None = None) -> SvdFactors | None:
-    """randomized_svd's Krylov loop and Ritz step on the scaled w; None
-    when give_up is set and a column of the depth-2 block keeps more than
-    give_up of its norm after its projections off blocks 0 and 1."""
+    """randomized_svd's Krylov loop and Ritz step on the scaled w. When
+    give_up is set, None when a column of the depth-2 block keeps more than
+    give_up of its norm after its projections off blocks 0 and 1, and None
+    unless the Ritz values theta and the basis Q pass the separation test:
+    ||w - Q Q^T w||_F <= TOLERANCE ||w||_F, or theta_(r+1) (0 past the
+    basis) plus ||w - Q Q^T w||_F is below theta_r."""
     # One buffer for all blocks: a new, wider array per block left heap holes
     # that lifted peak RSS by 8 MB in a 1024^2 run. Row block j of rows is
     # block j's q^T w: the next pass starts from it, and together the rows
@@ -520,4 +526,15 @@ def _krylov_svd(w: np.ndarray, r: int, niter: int, rng: RandomSource,
         q -= done @ (done.T @ q)
         basis[:, k:k + q.shape[1]] = q
         k += q.shape[1]
-    return _ritz(rows[:k].T, basis[:, :k], swap=True).truncate(r)
+    f = _ritz(rows[:k].T, basis[:, :k], swap=True)
+    if give_up is not None:
+        # Weyl: sigma_(r+1)(w) <= theta_(r+1) + ||w - Q Q^T w||_2 for the Ritz
+        # values theta, so when that sum stays below theta_r no triplet
+        # outside the basis belongs in the top r. The difference is formed:
+        # ||w||^2 - ||Q^T w||^2 cancels to rounding where the basis holds w.
+        outside = frobenius_norm(basis[:, :k] @ rows[:k] - w)
+        theta_next = f.s[r] if f.rank > r else 0.0
+        if not (outside <= TOLERANCE * frobenius_norm(w)
+                or theta_next + outside < f.s[r - 1]):
+            return None
+    return f.truncate(r)

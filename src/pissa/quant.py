@@ -45,8 +45,9 @@ class QuantConfig:
 
 @dataclass
 class QuantizedMatrix:
-    """Block-quantized matrix: one index into NF4_LEVELS per entry plus
-    per-block absmax scales over the row-major entries."""
+    """Block-quantized matrix: one index into NF4_LEVELS per entry and one
+    absmax scale per block. Entry i of the row-major matrix lies in block
+    i // block_size, so only the last block may be short."""
 
     codes: np.ndarray    # uint8, rows x cols
     scales: np.ndarray   # float64, one per block
@@ -113,39 +114,30 @@ def quantize(m: np.ndarray, cfg: QuantConfig = QuantConfig()) -> QuantizedMatrix
     m = as_matrix(m)
     flat = m.ravel()
     bs = cfg.block_size
-    # A matrix under one block is that block.
-    width = min(bs, flat.size)
-    whole = flat.size // width if width else 0
+    whole = flat.size // bs
     codes = np.empty(flat.size, dtype=np.uint8)
     scales = np.empty(math.ceil(flat.size / bs))
-    step = max(1, _CHUNK_ENTRIES // max(width, 1))
+    step = max(1, _CHUNK_ENTRIES // bs)
     for start in range(0, whole, step):
         stop = min(start + step, whole)
-        span = slice(start * width, stop * width)
-        _code_blocks(flat[span].reshape(-1, width), codes[span].reshape(-1, width),
+        span = slice(start * bs, stop * bs)
+        _code_blocks(flat[span].reshape(-1, bs), codes[span].reshape(-1, bs),
                      scales[start:stop])
     if whole < scales.size:
-        # The ragged last block is zero-padded, which keeps its absmax.
-        tail = flat[whole * width:]
-        tail_codes = np.empty((1, width), dtype=np.uint8)
-        _code_blocks(np.pad(tail, (0, width - tail.size))[None], tail_codes,
-                     scales[whole:])
-        codes[whole * width:] = tail_codes[0, :tail.size]
+        _code_blocks(flat[whole * bs:][None], codes[whole * bs:][None], scales[whole:])
     return QuantizedMatrix(codes.reshape(m.shape), scales, bs)
 
 
 def dequantize(q: QuantizedMatrix) -> np.ndarray:
-    """Map codes back through the codebook and per-block scales, scaling
-    the levels in place: whole blocks by their scales, a ragged tail by the
-    last one."""
+    """Map codes back through the codebook, scaling the levels in place by
+    their blocks' scales."""
     # Row-major, whatever the layout of codes, so that the blocks are views.
     # np.take gathers the same bits as NF4_LEVELS[codes] in about half the time.
     flat = np.take(NF4_LEVELS, q.codes.ravel())
-    width = min(q.block_size, flat.size)
-    whole = flat.size // width if width else 0
-    blocks = flat[:whole * width].reshape(whole, width)
+    whole = flat.size // q.block_size
+    blocks = flat[:whole * q.block_size].reshape(whole, q.block_size)
     blocks *= q.scales[:whole, None]
-    flat[whole * width:] *= q.scales[whole:]
+    flat[whole * q.block_size:] *= q.scales[whole:]
     return flat.reshape(q.shape)
 
 
@@ -157,11 +149,9 @@ def quantization_error_bound(q: QuantizedMatrix) -> np.ndarray:
     multiplying its level back by it each move the result by at most half
     an ulp of the scale, since the scaled entry and the level lie in [-1, 1].
     """
-    # Each entry's block scale. Repeating whole blocks forms at most one block
-    # past the last entry, and none when one block holds the matrix, however
-    # large the block size (a PSQ4 header may claim one far larger).
-    size = q.codes.size
-    scales = np.repeat(q.scales, min(q.block_size, size))[:size].reshape(q.shape)
+    # Each entry's block scale, bit for bit: the top level is exactly 1.0.
+    scales = dequantize(QuantizedMatrix(np.full(q.shape, NF4_LEVELS.size - 1, np.uint8),
+                                        q.scales, q.block_size))
     return scales * (np.max(np.diff(NF4_LEVELS)) / 2.0) + np.spacing(scales)
 
 

@@ -544,6 +544,31 @@ def _qpissa_second_target(n):
     return w - dequantize(qpissa_init(w, 16).base)
 
 
+def _without_top_direction(r, s, n=256):
+    # An n x n matrix with singular values s (zeros past them) whose top
+    # right singular vector is orthogonal to the r columns leading_svd's
+    # Krylov path starts from: w Omega holds no u_1 component.
+    omega = linalg._KRYLOV_SOURCE.normal((n, r))
+    src = RandomSource(18)
+    x = src.normal((n, 1))
+    x -= omega @ np.linalg.lstsq(omega, x, rcond=None)[0]
+    v, _ = np.linalg.qr(np.hstack([x, src.spawn(1).normal((n, n - 1))]))
+    u, _ = np.linalg.qr(src.spawn(2).normal((n, n)))
+    return (u * np.concatenate([s, np.zeros(n - len(s))])) @ v.T
+
+
+MISSING_TOP_CASES = {
+    # The depth-1 block deflates away: the basis is an invariant subspace
+    # without u_1, and its four triplets are exact, so the w v - u s
+    # residual is zero.
+    "exact_rank": (4, [10.0, 5.0, 4.0, 3.0, 2.0]),
+    # Full rank and full-width blocks, and still no u_1 in the basis.
+    "full_rank_tail": (4, np.concatenate([[10.0, 5.0, 4.0, 3.0, 2.0],
+                                          0.1 * 0.8 ** np.arange(251)])),
+    "r16": (16, np.concatenate([[10.0], np.linspace(5.0, 2.0, 16)])),
+}
+
+
 class TestLeadingSvdKrylov:
     # The Krylov path: 4 r < min(m, n), and a gap after sigma_r.
 
@@ -561,9 +586,10 @@ class TestLeadingSvdKrylov:
     def test_near_tie_matches_exact_svd(self, tie, tail, monkeypatch):
         # sigma_r / sigma_(r+1) = 1 + tie. A residual check cannot see a
         # missing triplet: had the basis missed u_r, s_r would read
-        # sigma_(r+1), off by tie relative. With a gap after sigma_(r+1) the
-        # Krylov path serves the call; with a flat tail it gives up. The
-        # pair's vectors mix by up to about eps / tie, hence the projectors'
+        # sigma_(r+1), off by tie relative. A near tie at r cannot pass the
+        # Krylov path's separation test, so the Gram path serves the call;
+        # with a flat tail the Krylov path gives up before it. The pair's
+        # vectors mix by up to about eps / tie, hence the projectors'
         # tolerance.
         r = 8
         rest = np.geomspace(1e-2, 1e-3, 70) if tail == "gap" else np.linspace(0.99, 0.5, 70)
@@ -572,7 +598,7 @@ class TestLeadingSvdKrylov:
         ref = exact_svd(w).truncate(r)
         krylov = _spy(monkeypatch, "_krylov_svd")
         f = leading_svd(w, r)
-        assert len(krylov) == 1 and (krylov[0] is not None) == (tail == "gap")
+        assert krylov == [None]
         self._assert_top_triplets(f, w, ref, 1e-14 / tie)
 
     def test_gapped_target_takes_the_krylov_path(self, monkeypatch):
@@ -628,6 +654,17 @@ class TestLeadingSvdKrylov:
         for a, b in ((f.u[:, :4], ref.u[:, :4]), (f.v[:, :4], ref.v[:, :4])):
             np.testing.assert_allclose(a @ a.T, b @ b.T, rtol=0, atol=1e-12)
         np.testing.assert_allclose(f.reconstruct(), ref.reconstruct(), rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("case", MISSING_TOP_CASES)
+    def test_basis_without_the_top_triplet(self, case):
+        # The Ritz triplets of a basis that misses u_1 read sigma_2..sigma_(r+1)
+        # and meet the residual contract. The separation test refuses them:
+        # theta_(r+1) plus ||w - Q Q^T w||_F, at least sigma_1 = 10, is not
+        # below theta_r.
+        r, s = MISSING_TOP_CASES[case]
+        w = _without_top_direction(r, s)
+        np.testing.assert_allclose(leading_svd(w, r).s, exact_svd(w).truncate(r).s,
+                                   rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("shape", [(64, 48), (48, 64)], ids=["tall", "wide"])
     def test_deterministic(self, shape, monkeypatch):
