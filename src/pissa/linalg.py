@@ -89,8 +89,8 @@ class SvdFactors:
 
 # _pow2_scaled leaves a matrix alone within 2^+-100 of 1: there every product
 # the kernels take stays in range, Gram matrices within 2^-485 to 2^255.5,
-# where dsyevr would not rescale (its steps here never do), and gesdd runs
-# unscaled (it rescales entries outside about 2^+-459).
+# where dstemr would not rescale (dsytrd and dsterf never do), and gesdd
+# runs unscaled (it rescales entries outside about 2^+-459).
 _POW2_WINDOW = 100
 
 
@@ -203,18 +203,15 @@ _I64P = ctypes.POINTER(_I64)
 # layout, jobu, jobvt, m, n, a, lda, s, u, ldu, vt, ldvt, superb
 _DGESVD = _bind("dgesvd", ctypes.c_int, _CHAR, _CHAR, _I64, _I64, _PTR, _I64, _PTR,
                 _PTR, _I64, _PTR, _I64, _PTR)
-# dsyevr's own steps, for both Gram kernels (_tridiagonal, _eigenvectors).
+# The tridiagonal steps of both Gram kernels (_tridiagonal, _eigenvectors).
 # layout, uplo, n, a, lda, d, e, tau, work, lwork
 _DSYTRD = _bind("dsytrd_work", ctypes.c_int, _CHAR, _I64, _PTR, _I64, _PTR, _PTR, _PTR,
                 _PTR, _I64)
 # n, d, e
 _DSTERF = _bind("dsterf", _I64, _PTR, _PTR)
-# range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock, isplit
-_DSTEBZ = _bind("dstebz", _CHAR, _CHAR, _I64, _DBL, _DBL, _I64, _I64, _DBL, _PTR, _PTR,
-                _I64P, _I64P, _PTR, _PTR, _PTR)
-# layout, n, d, e, m, w, iblock, isplit, z, ldz, ifailv
-_DSTEIN = _bind("dstein", ctypes.c_int, _I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR,
-                _I64, _PTR)
+# layout, jobz, range, n, d, e, vl, vu, il, iu, m, w, z, ldz, nzc, isuppz, tryrac
+_DSTEMR = _bind("dstemr", ctypes.c_int, _CHAR, _CHAR, _I64, _PTR, _PTR, _DBL, _DBL, _I64,
+                _I64, _I64P, _PTR, _PTR, _I64, _I64, _PTR, _I64P)
 # layout, side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork
 _DORMTR = _bind("dormtr_work", ctypes.c_int, _CHAR, _CHAR, _CHAR, _I64, _I64, _PTR, _I64,
                 _PTR, _PTR, _I64, _PTR, _I64)
@@ -237,15 +234,18 @@ def _gesvd(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _tridiagonal(t: np.ndarray):
     """dsytrd's reduction of the Gram matrix t^T t, as (reduced, d, e, tau,
     work) for _eigenvectors; None when t has no columns, when one of the
-    five tridiagonal routines is not bound or when dsytrd fails."""
+    four tridiagonal routines is not bound or when dsytrd fails."""
     n = t.shape[1]
-    if not n or None in (_DSYTRD, _DSTERF, _DSTEBZ, _DSTEIN, _DORMTR):
+    if not n or None in (_DSYTRD, _DSTERF, _DSTEMR, _DORMTR):
         return None
     # dsyevr's workspace is (nb + 1) n for LAPACK's block size nb = 32; it
     # gives dsytrd all but 5 n of it and dormtr all but 2 n. The same sizes
-    # here keep dsyevr's blocking, and so its bits.
+    # here keep dsyevr's blocking, and so the bits of its all-values and
+    # all-vectors calls (dsterf; dstemr and dormtr).
     reduced, work = t.T @ t, np.empty(31 * n)
-    d, e, tau = np.empty(n), np.empty(n), np.empty(n)
+    # e's last entry is dstemr's workspace, unset by dsytrd; some LAPACKE
+    # releases reject a NaN there.
+    d, e, tau = np.empty(n), np.zeros(n), np.empty(n)
     # reduced is symmetric, so its C-order buffer is also its column-major one.
     if _DSYTRD(102, b"L", n, reduced.ctypes.data, n, d.ctypes.data, e.ctypes.data,
                tau.ctypes.data, work.ctypes.data, 28 * n):
@@ -256,30 +256,21 @@ def _tridiagonal(t: np.ndarray):
 def _eigenvectors(tri, il: int, iu: int) -> np.ndarray | None:
     """Eigenvectors of the il-th to iu-th smallest eigenvalues (from 1) of
     the matrix that _tridiagonal reduced to tri, as the rows of an
-    (iu - il + 1) x n array, smallest first; None when a step fails. These
-    are dsyevr's steps for RANGE = 'I' short of all n: dstebz, dstein,
-    dormtr on the kept reflectors, then a selection sort."""
+    (iu - il + 1) x n array, smallest first; None when a step fails. MRRR
+    (dstemr; Dhillon, Parlett and Voemel, ACM TOMS 2006) on the tridiagonal
+    matrix, then dormtr on the kept reflectors."""
     reduced, d, e, tau, work = tri
     n, k = d.size, iu - il + 1
-    found, nsplit = _I64(), _I64()
-    # Zeros, not np.empty: dstebz fills k of the n slots, and LAPACKE's
-    # dstein fails (info -6) when any of the n holds a NaN.
-    values, block, split = np.zeros(n), np.empty(n, np.int64), np.empty(n, np.int64)
-    if _DSTEBZ(b"I", b"B", n, 0.0, 0.0, il, iu, 0.0, d.ctypes.data, e.ctypes.data,
-               found, nsplit, values.ctypes.data, block.ctypes.data, split.ctypes.data) \
+    d, e = d.copy(), e.copy()  # dstemr overwrites both
+    found, values, z = _I64(), np.empty(n), np.empty((k, n))
+    support = np.empty(2 * k, np.int64)
+    if _DSTEMR(102, b"V", b"I", n, d.ctypes.data, e.ctypes.data, 0.0, 0.0, il, iu, found,
+               values.ctypes.data, z.ctypes.data, n, k, support.ctypes.data, _I64(1)) \
             or found.value != k:
-        return None
-    z, fail = np.empty((k, n)), np.empty(k, np.int64)
-    if _DSTEIN(102, n, d.ctypes.data, e.ctypes.data, k, values.ctypes.data,
-               block.ctypes.data, split.ctypes.data, z.ctypes.data, n, fail.ctypes.data):
         return None
     if _DORMTR(102, b"L", b"L", b"N", n, k, reduced.ctypes.data, n, tau.ctypes.data,
                z.ctypes.data, n, work.ctypes.data, work.size):
         return None
-    values = values[:k]
-    for j in range(k - 1):
-        i = j + int(np.argmin(values[j:]))
-        values[[j, i]], z[[j, i]] = values[[i, j]], z[[i, j]]
     return z
 
 
@@ -395,9 +386,14 @@ def _ritz(p: np.ndarray, basis: np.ndarray, swap: bool) -> SvdFactors:
 
 
 def _gram_svd(w: np.ndarray, r: int) -> SvdFactors:
-    """leading_svd's Gram path on the scaled w, with its exact_svd fallback."""
-    wide = w.shape[0] < w.shape[1]
-    basis = _gram_basis(w.T if wide else w, r)
+    """leading_svd's Gram path on the scaled w, with its exact_svd fallback,
+    which also serves every r within k^2 / (2 max(m, n)) of k = min(m, n)."""
+    (m, n), k = w.shape, min(w.shape)
+    wide = m < n
+    # The measured crossover: past it the full SVD costs less than the Gram
+    # path (r/k about 0.5 square, 0.7 at 2:1 and 0.85 at 4:1, on 2 vCPUs).
+    past = 2 * (k - r) * max(m, n) < k * k
+    basis = None if past else _gram_basis(w.T if wide else w, r)
     # w^T @ basis and w^T @ u are taken as (basis^T w)^T and (u^T w)^T: with
     # w^T on the left OpenBLAS ran these products up to 3x slower.
     f = None if basis is None else _ritz((basis.T @ w).T if wide else w @ basis,
@@ -434,7 +430,8 @@ def leading_svd(w: np.ndarray, r: int) -> SvdFactors:
     eigenvectors of the Gram matrix of w's shorter side (_gram_basis) and
     one Ritz step on the tall r-column product. Its fallback,
     exact_svd(w).truncate(r), runs when a tridiagonal step is unbound or
-    fails or it misses the contract.
+    fails or it misses the contract, and in its place for r past the
+    crossover where the full SVD costs less (_gram_svd).
     """
     w, e = _pow2_scaled(as_matrix(w))
     _check_rank(w, r)

@@ -42,15 +42,16 @@ def _small_tail():
     return (u * s) @ v.T
 
 
-# LAPACK's symmetric eigensolver driver, whose steps the Gram kernels run one
-# by one: the bits reference. layout, jobz, range, uplo, n, a, lda, vl, vu,
-# il, iu, abstol, m, w, z, ldz, isuppz
+# LAPACK's symmetric eigensolver driver: the bits reference where it runs the
+# Gram kernels' steps (dsterf for all values; dstemr and dormtr for all
+# vectors). layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m,
+# w, z, ldz, isuppz
 _I64, _PTR, _DBL, _CHAR = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_char
 _DSYEVR = linalg._bind("dsyevr", ctypes.c_int, _CHAR, _CHAR, _CHAR, _I64, _PTR, _I64,
                        _DBL, _DBL, _I64, _I64, _DBL, ctypes.POINTER(_I64), _PTR, _PTR,
                        _I64, _PTR)
 # The routines whose one unbound condition selects the full-SVD fallbacks.
-_TRIDIAGONAL_STEPS = ("_DSYTRD", "_DSTERF", "_DSTEBZ", "_DSTEIN", "_DORMTR")
+_TRIDIAGONAL_STEPS = ("_DSYTRD", "_DSTERF", "_DSTEMR", "_DORMTR")
 
 
 def _steps_bound():
@@ -67,6 +68,16 @@ def _dsyevr(g, il, iu, jobz):
                    found, values.ctypes.data, z.ctypes.data, n, support.ctypes.data)
     assert info == 0 and found.value == iu - il + 1
     return values[:found.value], z
+
+
+def _assert_eigenvectors(g, z, values):
+    # The rows of z are orthonormal eigenvectors of the symmetric g for the
+    # given eigenvalues, to within rounding: a residual of each column of
+    # g z^T - z^T diag(values) below 1e-13 ||g||_2.
+    k = z.shape[0]
+    np.testing.assert_allclose(z @ z.T, np.eye(k), rtol=0, atol=1e-13)
+    resid = np.linalg.norm(g @ z.T - z.T * values, axis=0)
+    assert resid.max() <= 1e-13 * max(np.linalg.norm(g, 2), np.finfo(float).tiny)
 
 
 def _product(m, k, n):
@@ -168,24 +179,26 @@ class TestNorms:
         assert nuclear_norm(m) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_one_tridiagonal_reduction_per_call(self, monkeypatch):
-        # The values (dsterf) and the bottom vectors (dstebz, dstein, dormtr)
-        # come from one dsytrd reduction of the Gram matrix.
+        # The values (dsterf) and the bottom vectors (dstemr, dormtr) come
+        # from one dsytrd reduction of the Gram matrix.
         m = NUCLEAR_CASES["loftq_residual"]()
         calls = []
-        for name in ("_DSYTRD", "_DORMTR"):
+        for name in ("_DSYTRD", "_DSTEMR", "_DORMTR"):
             routine = getattr(linalg, name)
             monkeypatch.setattr(linalg, name, lambda *args, name=name, routine=routine:
                                 calls.append(name) or routine(*args))
         assert nuclear_norm(m) == pytest.approx(_svd_sum(m), rel=1e-13, abs=0)
-        assert calls == ["_DSYTRD", "_DORMTR"]
+        assert calls == ["_DSYTRD", "_DSTEMR", "_DORMTR"]
 
     @pytest.mark.parametrize("n", [64, 160, 512])
     def test_tridiagonal_steps_keep_dsyevr_bits(self, n, monkeypatch):
-        # With dsyevr's workspaces, its steps give the bits of its
-        # all-values call (JOBZ = 'N'), of its bottom-k vectors call
-        # (JOBZ = 'V', IL = 1, IU = k) and of its top-r vectors call
-        # (IL = n - r + 1, IU = n), leading_svd's basis; at n = 64 its
-        # dormtr runs unblocked.
+        # With dsyevr's workspaces, the steps give the bits of its
+        # all-values call (JOBZ = 'N') and of its all-vectors call (JOBZ =
+        # 'V', IL = 1, IU = n), where dsyevr itself runs dstemr and dormtr;
+        # at n = 64 dormtr runs unblocked. For part of the spectrum dsyevr
+        # runs dstebz and dstein instead, so nuclear_norm's bottom-k vectors
+        # and leading_svd's top-r basis are held to dsyevr's eigenvalues by
+        # their residuals, and to orthonormality.
         m = _loftq_residual(n)
         seen = {}
         dsterf = linalg._DSTERF
@@ -202,12 +215,19 @@ class TestNorms:
         assert len(vectors) == 1
         k = vectors[0].shape[0]
         assert k >= 4  # LoftQ's exact rank-4 fit leaves four zero roots
-        assert np.array_equal(seen["values"], _dsyevr(m.T @ m, 1, n, b"N")[0])
-        assert np.array_equal(vectors[0], _dsyevr(m.T @ m, 1, k, b"V")[1])
+        g = m.T @ m
+        assert np.array_equal(seen["values"], _dsyevr(g, 1, n, b"N")[0])
+        _assert_eigenvectors(g, vectors[0], _dsyevr(g, 1, k, b"N")[0])
         for w in (m, generate_spectral_matrix(n, n, 1.0, 10)):
+            g = w.T @ w
+            tri = linalg._tridiagonal(w)
+            every = linalg._eigenvectors(tri, 1, n)
+            assert np.array_equal(every, _dsyevr(g, 1, n, b"V")[1])
+            # tri is left as it was: a second call gives the same bits.
+            assert np.array_equal(linalg._eigenvectors(tri, 1, n), every)
             for r in (1, 16):
-                top = _dsyevr(w.T @ w, n - r + 1, n, b"V")[1]
-                assert np.array_equal(linalg._gram_basis(w, r), top[::-1].T)
+                top = _dsyevr(g, n - r + 1, n, b"N")[0]
+                _assert_eigenvectors(g, linalg._gram_basis(w, r).T[::-1], top)
 
     def test_nuclear_zero_matrix_is_exactly_zero(self):
         assert nuclear_norm(np.zeros((5, 3))) == 0.0
@@ -350,9 +370,11 @@ def test_gesvd_reconstructs(name):
     assert linalg.relative_error((u * s) @ vt - w, w) <= linalg.TOLERANCE
 
 
-# (matrix, r) pairs for leading_svd's Gram path (4 r >= min(m, n), so the
-# Krylov path does not run): tall, wide, r = min(m, n), rank deficient
-# (rank 4, asked for 6), zero, and a single row.
+# (matrix, r) pairs with 4 r >= min(m, n), so the Krylov path does not run:
+# tall, wide, r = min(m, n), rank deficient (rank 4, asked for 6), zero, and
+# a single row. All but r = min(m, n) and the single row take the Gram path;
+# those two lie past the high-rank crossover, where exact_svd serves.
+PAST_CROSSOVER = ("full", "row")
 LEADING_CASES = {
     "tall": (generate_spectral_matrix(40, 24, 1.0, 1), 6),
     "wide": (generate_spectral_matrix(24, 40, 1.0, 2), 6),
@@ -387,11 +409,11 @@ class TestLeadingSvd:
     @pytest.mark.parametrize("case", LEADING_CASES)
     def test_matches_truncated_exact_svd(self, case, monkeypatch):
         # The basis comes from the tridiagonal steps where numpy's LAPACK
-        # exports them, so the full SVD must not run there; "full" takes
-        # all min(m, n) vectors by dstebz and dstein.
+        # exports them, so the full SVD must not run there short of the
+        # high-rank crossover.
         w, r = LEADING_CASES[case]
         ref = exact_svd(w).truncate(r)
-        if _steps_bound():
+        if _steps_bound() and case not in PAST_CROSSOVER:
             _forbid_full_svd(monkeypatch, w)
         f = leading_svd(w, r)
         assert f.u.shape == ref.u.shape and f.v.shape == ref.v.shape
@@ -431,15 +453,15 @@ class TestLeadingSvd:
     @pytest.mark.parametrize("wide", [False, True])
     @pytest.mark.parametrize("info,short", [(1, 0), (0, 1)])
     def test_failed_dsyevr_falls_back_to_exact_svd(self, monkeypatch, wide, info, short):
-        # Each of dsyevr's steps in turn fails after it has run, with info
-        # != 0, or (dstebz, the one that counts) with one value short. No
-        # step runs after it, and the result is exact_svd(w).truncate(r),
-        # bit for bit.
+        # Each tridiagonal step of the basis in turn fails after it has run,
+        # with info != 0, or (dstemr, the one that counts) with one vector
+        # short. No step runs after it, and the result is
+        # exact_svd(w).truncate(r), bit for bit.
         w = generate_spectral_matrix(30, 20, 1.0, 8)
         w = w.T if wide else w
         ref = exact_svd(w).truncate(5)
-        steps = ["_DSYTRD", "_DSTEBZ", "_DSTEIN", "_DORMTR"]
-        for failing in steps if info else ["_DSTEBZ"]:
+        steps = ["_DSYTRD", "_DSTEMR", "_DORMTR"]
+        for failing in steps if info else ["_DSTEMR"]:
             calls = []
             for name in steps:
                 def step(*args, name=name, routine=getattr(linalg, name)):
@@ -448,7 +470,7 @@ class TestLeadingSvd:
                     if name != failing:
                         return got
                     if short:
-                        args[10].value -= short  # dstebz's count of values found
+                        args[10].value -= short  # dstemr's count of vectors found
                     return info or got
 
                 monkeypatch.setattr(linalg, name, step)
@@ -520,6 +542,99 @@ class TestLeadingSvd:
     def test_rank_out_of_range(self, r):
         with pytest.raises(ValueError):
             leading_svd(np.ones((10, 12)), r)
+
+    @pytest.mark.parametrize("shape", [(20, 12), (12, 20), (16, 16), (1, 9), (9, 1),
+                                       (2, 2)])
+    def test_full_rank_returns_exact_svd_bits(self, shape):
+        w = RandomSource(17).normal(shape)
+        _assert_same_bits(leading_svd(w, min(shape)), exact_svd(w))
+
+    @pytest.mark.parametrize("m, n", [(64, 64), (128, 64), (64, 256)])
+    def test_high_rank_crossover(self, m, n, monkeypatch):
+        # exact_svd serves r once k - r < k^2 / (2 max(m, n)) for k =
+        # min(m, n): r > 32 of 64^2, r > 48 of 128 x 64 and r > 56 of
+        # 64 x 256. The last r short of it still takes the Gram path.
+        w = generate_spectral_matrix(m, n, 1.0, 19)
+        k = min(m, n)
+        last = k - k * k // (2 * max(m, n))
+        reduced = _spy(monkeypatch, "_tridiagonal")
+        _assert_same_bits(leading_svd(w, last + 1), exact_svd(w).truncate(last + 1))
+        assert not reduced
+        f, ref = leading_svd(w, last), exact_svd(w).truncate(last)
+        assert len(reduced) == 1
+        np.testing.assert_allclose(f.s, ref.s, rtol=1e-12, atol=0)
+
+
+def _orthogonal(n, seed):
+    return np.linalg.qr(RandomSource(seed).normal((n, n)))[0]
+
+
+def _tied_block(m, n, r, seed):
+    # sigma_r = sigma_(r+1) = sigma_(r+2): the tie straddles r.
+    s = np.concatenate([np.geomspace(8.0, 2.0, r - 1), [1.0, 1.0, 1.0],
+                        np.geomspace(0.5, 0.01, min(m, n) - r - 2)])
+    return _with_spectrum(m, n, s, seed)
+
+
+# MRRR's hard inputs for the Gram eigenvectors, as (matrix, r): ties at r
+# (an orthogonal matrix, whose Gram matrix is I up to rounding, and a tie
+# across r and r + 1), LoftQ's exact rank-4 residual (four zero Gram
+# eigenvalues), the smallest shapes, and tall and wide ones.
+HARD_CASES = {
+    "orthogonal_krylov": (lambda: _orthogonal(48, 28), 8),
+    "orthogonal_gram": (lambda: _orthogonal(48, 28), 16),
+    "tied_block": (lambda: _tied_block(64, 48, 4, 29), 4),
+    "tied_block_wide": (lambda: _tied_block(40, 72, 12, 30), 12),
+    "loftq_residual": (lambda: _loftq_residual(64), 8),
+    "1xn": (lambda: RandomSource(26).normal((1, 30)), 1),
+    "nx1": (lambda: RandomSource(26).normal((30, 1)), 1),
+    "2x2": (lambda: RandomSource(31).normal((2, 2)), 1),
+    "tall": (lambda: RandomSource(25).normal((90, 20)), 6),
+    "wide": (lambda: RandomSource(25).normal((20, 90)), 6),
+}
+
+
+@pytest.mark.parametrize("case", HARD_CASES)
+def test_hard_inputs_meet_the_contracts(case):
+    w, r = HARD_CASES[case][0](), HARD_CASES[case][1]
+    ref, f = exact_svd(w), leading_svd(w, r)
+    scale = ref.s[0]
+    assert f.u.shape == (w.shape[0], r) and f.v.shape == (w.shape[1], r)
+    np.testing.assert_allclose(f.s, ref.s[:r], rtol=1e-12, atol=1e-12 * scale)
+    for a in (f.u, f.v):
+        np.testing.assert_allclose(a.T @ a, np.eye(r), rtol=0, atol=1e-12)
+    for resid in (w @ f.v - f.u * f.s, (f.u.T @ w).T - f.v * f.s):
+        assert linalg.relative_error(resid, w) <= linalg.TOLERANCE
+    idx = np.argmax(np.abs(f.u), axis=0)
+    assert (f.u[idx, np.arange(r)] >= 0).all()
+    assert nuclear_norm(w) == pytest.approx(_svd_sum(w), rel=1e-12, abs=0)
+    # The Gram basis itself, past the crossover too: top-r eigenvectors of
+    # the Gram matrix of w's shorter side.
+    t = w.T if w.shape[0] < w.shape[1] else w
+    if _steps_bound():
+        g = t.T @ t
+        top = np.linalg.eigvalsh(g)[::-1][:r]
+        _assert_eigenvectors(g, linalg._gram_basis(t, r).T, top)
+
+
+def test_failed_dstemr_in_nuclear_norm_takes_the_svd_sum(monkeypatch):
+    # A dstemr failure (info != 0, or one vector short) on nuclear_norm's
+    # bottom vectors gives the full-SVD sum, and dormtr does not run.
+    m = _loftq_residual(64)
+    for info, short in ((1, 0), (0, 1)):
+        calls = []
+
+        def dstemr(*args, routine=linalg._DSTEMR):
+            calls.append("_DSTEMR")
+            got = routine(*args)
+            args[10].value -= short
+            return info or got
+
+        monkeypatch.setattr(linalg, "_DSTEMR", dstemr)
+        monkeypatch.setattr(linalg, "_DORMTR", lambda *args: calls.append("_DORMTR"))
+        assert nuclear_norm(m) == _svd_sum(m)
+        monkeypatch.undo()
+        assert calls == ["_DSTEMR"]
 
 
 def _with_spectrum(m, n, s, seed):
@@ -702,7 +817,7 @@ def test_every_initializer_runs_without_dsyevr(monkeypatch):
 
 
 def test_numpy_exports_every_lapack_routine_linalg_binds():
-    # numpy's OpenBLAS wheels export all six; a wheel that drops one fails
+    # numpy's OpenBLAS wheels export all five; a wheel that drops one fails
     # here by name rather than silently taking a full-SVD fallback.
     missing = [name for name in ("_DGESVD",) + _TRIDIAGONAL_STEPS
                if getattr(linalg, name) is None]
@@ -710,8 +825,8 @@ def test_numpy_exports_every_lapack_routine_linalg_binds():
 
 
 def test_nan_filled_buffers_keep_both_gram_paths(monkeypatch):
-    # dstebz fills only the slots of the eigenvalues it finds, and LAPACKE's
-    # dstein rejects a NaN in any of its n: with np.empty handing out
+    # dsytrd sets n - 1 of e's n entries; the last is dstemr's workspace,
+    # which some LAPACKE releases check for NaN. With np.empty handing out
     # NaN-filled float buffers, as reused memory may, both Gram kernels
     # keep their path (no full SVD) and their bits.
     m, w = _loftq_residual(64), generate_spectral_matrix(64, 64, 1.0, 9)
