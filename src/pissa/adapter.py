@@ -152,20 +152,32 @@ def variant_init(w: np.ndarray, r: int, window: str) -> DecomposedLayer:
 
 
 def _layer_product(layer, x: np.ndarray, transpose: bool = False,
-                   x_base: np.ndarray | None = None) -> np.ndarray:
+                   x_base: np.ndarray | None = None, with_rank: bool = False):
     """x W, or x W^T, for a plain matrix W or a DecomposedLayer, whose
     W = base + scale A B is never formed: x base + scale (x A) B, or
     x base^T + scale (x B^T) A^T, with rank-r intermediates. x_base, if given,
     is x base (x base^T when transposed), taken ahead by the caller.
-    Unchecked, so a diverged (non-finite) activation reaches the training loss.
+
+    The result is a new array that the product writes in place: (x A) B, then
+    times scale unless scale is 1, then plus x base. Sums and products
+    commute, so its bits are those of x base + scale ((x A) B). with_rank
+    returns (result, x A) instead, for the rank-first gradients (x A is None
+    for a plain matrix). Unchecked, so a diverged (non-finite) activation
+    reaches the training loss.
     """
     if not isinstance(layer, DecomposedLayer):
-        return x @ (layer.T if transpose else layer)
+        y = x @ (layer.T if transpose else layer)
+        return (y, None) if with_rank else y
     p = layer.adapter
     a, b = (p.b.T, p.a.T) if transpose else (p.a, p.b)
     if x_base is None:
         x_base = x @ (dense_base(layer).T if transpose else dense_base(layer))
-    return x_base + p.scale * ((x @ a) @ b)
+    x_a = x @ a
+    y = x_a @ b
+    if p.scale != 1:
+        y *= p.scale
+    y += x_base
+    return (y, x_a) if with_rank else y
 
 
 def forward(layer: DecomposedLayer, x: np.ndarray) -> np.ndarray:
@@ -188,8 +200,21 @@ def adapter_gradients(x: np.ndarray, d_y: np.ndarray,
         raise ShapeError(
             f"gradient shapes x={x.shape}, dY={d_y.shape} inconsistent with "
             f"adapter {adapter.shape}")
-    d_a = adapter.scale * (x.T @ (d_y @ adapter.b.T))
-    d_b = adapter.scale * ((x @ adapter.a).T @ d_y)
+    return _adapter_gradients(x, d_y, adapter, x @ adapter.a)
+
+
+def _adapter_gradients(x: np.ndarray, d_y: np.ndarray, adapter: AdapterPair,
+                       x_a: np.ndarray, out_a: np.ndarray | None = None,
+                       out_b: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    # adapter_gradients without its shape check, given x A (training takes it
+    # from the forward pass): scale X^T (dY B^T) and scale (X A)^T dY, written
+    # into out_a and out_b when given and scaled in place unless scale is 1.
+    d_a = np.matmul(x.T, d_y @ adapter.b.T, out=out_a)
+    d_b = np.matmul(x_a.T, d_y, out=out_b)
+    if adapter.scale != 1:
+        d_a *= adapter.scale
+        d_b *= adapter.scale
     return d_a, d_b
 
 

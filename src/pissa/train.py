@@ -9,11 +9,11 @@ loss, adapter gradient norm, and learning rate per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adapter import (WINDOWS, DecomposedLayer, _layer_product, adapter_gradients,
+from .adapter import (WINDOWS, DecomposedLayer, _adapter_gradients, _layer_product,
                       dense_base, lora_init, variant_init)
 from .linalg import NumericalError, RandomSource, ShapeError, as_matrix
 from .quant import QuantConfig, loftq_init, qlora_init, qpissa_init
@@ -35,8 +35,10 @@ class Dataset:
     def __post_init__(self):
         self.features = as_matrix(self.features)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise ShapeError("feature/label counts differ")
+        rows = self.features.shape[0]
+        if self.labels.shape != (rows,):
+            raise ShapeError(f"need one label per feature row ({rows}), got labels "
+                             f"of shape {self.labels.shape}")
         if self.labels.size and self.labels.min() < 0:
             raise ValueError("negative label")
 
@@ -92,14 +94,26 @@ def cross_entropy_with_grad(logits: np.ndarray,
     """Mean softmax cross-entropy and its gradient w.r.t. the logits."""
     labels = np.asarray(labels, dtype=np.int64)
     b, c = logits.shape
+    if b == 0:
+        raise ValueError("cross-entropy of an empty batch")
+    # Labels of shape (b, 1) would broadcast against the rows below and give
+    # a wrong loss and gradient without an error.
+    if labels.shape != (b,):
+        raise ShapeError(f"need one label per logit row ({b}), got labels of shape "
+                         f"{labels.shape}")
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError("label out of range")
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.sum(np.exp(shifted), axis=1))
-    loss = float(np.mean(log_z - shifted[np.arange(b), labels]))
-    probs = np.exp(shifted - log_z[:, None])
-    probs[np.arange(b), labels] -= 1.0
-    return loss, probs / b
+    probs = np.exp(shifted)
+    log_z = np.log(np.sum(probs, axis=1))
+    rows = np.arange(b)
+    loss = float(np.mean(log_z - shifted[rows, labels]))
+    # The gradient softmax(logits) - onehot(labels), over b, in place.
+    shifted -= log_z[:, None]
+    np.exp(shifted, out=probs)
+    probs[rows, labels] -= 1.0
+    probs /= b
+    return loss, probs
 
 
 def _dense_view(model: MlpModel) -> MlpModel:
@@ -129,27 +143,35 @@ def model_forward_backward(model: MlpModel, x: np.ndarray, labels: np.ndarray):
 
 
 def _forward_backward(model: MlpModel, x: np.ndarray, labels: np.ndarray,
-                      x_base1: np.ndarray | None = None):
+                      x_base1: np.ndarray | None = None, out: dict | None = None):
     # model_forward_backward without its NaN/Inf pass over x. x_base1, if
     # given, is x times the adapter layer 1's base: train_model takes it once
-    # per run, since the base and the data do not change.
-    pre = _layer_product(model.layer1, x, x_base=x_base1) + model.bias1
+    # per run, since the base and the data do not change. out, if given, maps
+    # each gradient key to the array that takes that gradient.
+    out = {} if out is None else out
+    # Every array below is new to this call, so the biases, the rectifier
+    # mask and the scales go in place; x A1 and h A2 of the forward pass serve
+    # the rank-first gradients.
+    pre, x_a1 = _layer_product(model.layer1, x, x_base=x_base1, with_rank=True)
+    pre += model.bias1
     h = np.maximum(pre, 0.0)
-    logits = _layer_product(model.layer2, h) + model.bias2
+    logits, h_a2 = _layer_product(model.layer2, h, with_rank=True)
+    logits += model.bias2
     loss, d_logits = cross_entropy_with_grad(logits, labels)
 
-    grads: dict[str, np.ndarray] = {"bias2": d_logits.sum(axis=0)}
-    d_h = _layer_product(model.layer2, d_logits, transpose=True)
-    d_pre = d_h * (pre > 0)
-    grads["bias1"] = d_pre.sum(axis=0)
+    grads: dict[str, np.ndarray] = {
+        "bias2": d_logits.sum(axis=0, out=out.get("bias2"))}
+    d_pre = _layer_product(model.layer2, d_logits, transpose=True)
+    np.multiply(d_pre, pre > 0, out=d_pre)
+    grads["bias1"] = d_pre.sum(axis=0, out=out.get("bias1"))
     if isinstance(model.layer2, DecomposedLayer):
-        grads["l2.a"], grads["l2.b"] = adapter_gradients(
-            h, d_logits, model.layer2.adapter)
-        grads["l1.a"], grads["l1.b"] = adapter_gradients(
-            x, d_pre, model.layer1.adapter)
+        grads["l2.a"], grads["l2.b"] = _adapter_gradients(
+            h, d_logits, model.layer2.adapter, h_a2, out.get("l2.a"), out.get("l2.b"))
+        grads["l1.a"], grads["l1.b"] = _adapter_gradients(
+            x, d_pre, model.layer1.adapter, x_a1, out.get("l1.a"), out.get("l1.b"))
     else:
-        grads["l2.w"] = h.T @ d_logits
-        grads["l1.w"] = x.T @ d_pre
+        grads["l2.w"] = np.matmul(h.T, d_logits, out=out.get("l2.w"))
+        grads["l1.w"] = np.matmul(x.T, d_pre, out=out.get("l1.w"))
     return loss, grads
 
 
@@ -161,25 +183,52 @@ WARMUP_RATIO = 0.03
 
 @dataclass
 class AdamState:
-    """Moment accumulators of one array, and the step count."""
+    """Moment accumulators of one array, and the step count.
+
+    scratch holds two work arrays of the array's shape; adamw_step makes them
+    on first use, so AdamState(m, v) is all a caller builds.
+    """
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    scratch: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def adamw_step(state: AdamState, p: np.ndarray, g: np.ndarray,
                lr_t: float) -> None:
-    """One adaptive-moment update of p in place (AdamW, zero weight decay)."""
+    """One adaptive-moment update of p in place (AdamW, zero weight decay).
+
+    g, state.m and state.v must have p's shape (ShapeError otherwise): none
+    broadcasts. The update writes into the moments and the state's two
+    scratch arrays and allocates nothing after the first call. It runs the
+    textbook ufuncs in the textbook order,
+        m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g^2,
+        p -= lr_t (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps),
+    with the scalar products commuted, so p gets the textbook bits.
+    """
+    bad = [f"{name} has {arr.shape}"
+           for name, arr in (("g", g), ("state.m", state.m), ("state.v", state.v))
+           if arr.shape != p.shape]
+    if bad:
+        raise ShapeError(f"adamw_step: p has shape {p.shape}, but {', '.join(bad)}")
+    if state.scratch is None or state.scratch[0].shape != p.shape:
+        state.scratch = (np.empty(p.shape), np.empty(p.shape))
     state.t += 1
-    m, v = state.m, state.v
+    m, v, (s1, s2) = state.m, state.v, state.scratch
     m *= ADAM_BETA1
-    m += (1 - ADAM_BETA1) * g
+    m += np.multiply(g, 1 - ADAM_BETA1, out=s1)
     v *= ADAM_BETA2
-    v += (1 - ADAM_BETA2) * np.square(g)
-    m_hat = m / (1 - ADAM_BETA1 ** state.t)
-    v_hat = v / (1 - ADAM_BETA2 ** state.t)
-    p -= lr_t * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    np.square(g, out=s1)
+    s1 *= 1 - ADAM_BETA2
+    v += s1
+    np.divide(m, 1 - ADAM_BETA1 ** state.t, out=s1)  # m_hat
+    s1 *= lr_t
+    np.divide(v, 1 - ADAM_BETA2 ** state.t, out=s2)  # v_hat
+    np.sqrt(s2, out=s2)
+    s2 += ADAM_EPS
+    s1 /= s2
+    p -= s1
 
 
 def cosine_warmup_lr(step: int, cfg: TrainConfig) -> float:
@@ -225,10 +274,20 @@ def inject_adapters(model: MlpModel, rank: int, strategy: str,
     return MlpModel(l1, model.bias1.copy(), l2, model.bias2.copy())
 
 
-def _pack_trainable(model: MlpModel) -> tuple[np.ndarray, tuple[str, ...]]:
+def _flat_views(flat: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
+    """Consecutive C-contiguous views of flat, one per key, of the given shapes."""
+    views, offset = {}, 0
+    for key, shape in shapes.items():
+        size = math.prod(shape)
+        views[key] = flat[offset:offset + size].reshape(shape)
+        offset += size
+    return views
+
+
+def _pack_trainable(model: MlpModel) -> tuple[np.ndarray, dict[str, tuple]]:
     """Copy the trainable arrays into one flat buffer and point the model at
-    C-contiguous views of it; return the buffer and the gradient keys in
-    its order.
+    C-contiguous views of it; return the buffer and each gradient key's
+    shape, in buffer order.
 
     The update is elementwise, so one AdamW step on the buffer gives each
     array the bits a step per array would.
@@ -242,11 +301,11 @@ def _pack_trainable(model: MlpModel) -> tuple[np.ndarray, tuple[str, ...]]:
         slots.update({"l1.w": (model, "layer1"), "l2.w": (model, "layer2")})
     arrays = [getattr(owner, attr) for owner, attr in slots.values()]
     flat = np.concatenate(arrays, axis=None)
-    offset = 0
-    for (owner, attr), arr in zip(slots.values(), arrays):
-        setattr(owner, attr, flat[offset:offset + arr.size].reshape(arr.shape))
-        offset += arr.size
-    return flat, tuple(slots)
+    shapes = {key: arr.shape for key, arr in zip(slots, arrays)}
+    views = _flat_views(flat, shapes)
+    for key, (owner, attr) in slots.items():
+        setattr(owner, attr, views[key])
+    return flat, shapes
 
 
 def adapter_grad_norm(grads: dict) -> float:
@@ -259,13 +318,19 @@ def train_model(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> TrainTra
     """Train the model's trainable arrays; return the per-step trace.
 
     The model's trainable arrays are replaced by views of one flat buffer,
-    with the same values, which takes one AdamW update per step. With
-    adapters, the frozen layer-1 base and the data stay fixed for the run, so
-    their product is taken once and each step gathers its batch rows; layer
-    2's input moves with the adapter.
+    with the same values, which takes one AdamW update per step. Each step
+    writes its gradients into views of a second flat buffer of that layout.
+    With adapters, the frozen layer-1 base and the data stay fixed for the
+    run, so their product is taken once and each step gathers its batch rows;
+    layer 2's input moves with the adapter. An empty dataset raises
+    ValueError before any step.
     """
+    if len(dataset) == 0:
+        raise ValueError("cannot train on an empty dataset (0 rows)")
     gen = RandomSource(cfg.seed).generator()
-    flat, keys = _pack_trainable(model)
+    flat, shapes = _pack_trainable(model)
+    grad = np.empty_like(flat)
+    grad_views = _flat_views(grad, shapes)
     view = _dense_view(model)
     x_base1 = dataset.features @ view.layer1.base if model.has_adapters else None
     state = AdamState(np.zeros_like(flat), np.zeros_like(flat))
@@ -278,17 +343,17 @@ def train_model(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> TrainTra
             xb, yb, xb_base1 = dataset.features, dataset.labels, x_base1
         else:
             idx = gen.integers(0, n, size=cfg.batch_size)
-            xb, yb = dataset.features[idx], dataset.labels[idx]
-            xb_base1 = None if x_base1 is None else x_base1[idx]
-        loss, grads = _forward_backward(view, xb, yb, xb_base1)
+            xb = np.take(dataset.features, idx, axis=0)
+            yb = np.take(dataset.labels, idx)
+            xb_base1 = None if x_base1 is None else np.take(x_base1, idx, axis=0)
+        loss, grads = _forward_backward(view, xb, yb, xb_base1, grad_views)
         if not math.isfinite(loss):
             raise DivergenceError(step)
         lr_t = cosine_warmup_lr(step, cfg)
         losses[step] = loss
         norms[step] = adapter_grad_norm(grads)
         lrs[step] = lr_t
-        adamw_step(state, flat,
-                   np.concatenate([grads[k] for k in keys], axis=None), lr_t)
+        adamw_step(state, flat, grad, lr_t)
     return TrainTrace(losses, norms, lrs)
 
 

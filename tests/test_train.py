@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import pissa.quant
 import pissa.train
 from pissa.adapter import adapter_gradients, merge
-from pissa.linalg import NumericalError, RandomSource
+from pissa.linalg import NumericalError, RandomSource, ShapeError
 from pissa.quant import QuantizedMatrix
 from pissa.train import (WARMUP_RATIO, AdamState, Dataset, DivergenceError,
                          MlpModel, TrainConfig, adamw_step, adapter_grad_norm,
@@ -58,6 +59,23 @@ class TestCrossEntropy:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             cross_entropy_with_grad(np.zeros((2, 3)), [0, 3])
+
+    def test_empty_batch_named(self):
+        with pytest.raises(ValueError, match="empty batch"):
+            cross_entropy_with_grad(np.zeros((0, 3)), [])
+
+    @pytest.mark.parametrize("labels", [[[0], [1], [2]], [0, 1], [0, 1, 2, 0]],
+                             ids=["column", "short", "long"])
+    def test_one_label_per_row(self, labels):
+        # A (3, 1) column broadcast against the rows: a wrong loss, no error.
+        with pytest.raises(ShapeError, match="one label per logit row"):
+            cross_entropy_with_grad(np.zeros((3, 4)), labels)
+
+    def test_logits_left_unchanged(self):
+        logits = RandomSource(2).normal((4, 5))
+        before = logits.copy()
+        cross_entropy_with_grad(logits, [0, 1, 4, 2])
+        assert np.array_equal(logits, before)
 
 
 class TestModelForwardBackward:
@@ -209,6 +227,45 @@ class TestFactoredStep:
 
 
 class TestAdamW:
+    @pytest.mark.parametrize("bad", ["g", "m", "v"])
+    def test_shape_mismatch_raises_and_leaves_p(self, bad):
+        # A (1,) gradient used to broadcast into a (3, 3) parameter.
+        shapes = {"g": (3, 3), "m": (3, 3), "v": (3, 3), bad: (1,)}
+        p = np.ones((3, 3))
+        state = AdamState(np.zeros(shapes["m"]), np.zeros(shapes["v"]))
+        with pytest.raises(ShapeError, match=f"{bad} has \\(1,\\)"):
+            adamw_step(state, p, np.full(shapes["g"], 0.5), 0.1)
+        assert np.array_equal(p, np.ones((3, 3)))
+        assert state.t == 0
+
+    def test_state_reused_on_another_shape_raises(self):
+        state = AdamState(np.zeros((3, 3)), np.zeros((3, 3)))
+        adamw_step(state, np.ones((3, 3)), np.full((3, 3), 0.5), 0.1)
+        p = np.ones(9)
+        with pytest.raises(ShapeError):
+            adamw_step(state, p, np.full(9, 0.5), 0.1)
+        assert np.array_equal(p, np.ones(9))
+        assert state.t == 1
+
+    def test_scratch_made_once_and_no_step_allocates(self):
+        n = 50_000
+        p, g = np.zeros(n), RandomSource(1).normal(n)
+        state = AdamState(np.zeros(n), np.zeros(n))
+        assert state.scratch is None
+        adamw_step(state, p, g, 1e-3)
+        scratch = state.scratch
+        assert [s.shape for s in scratch] == [(n,), (n,)]
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                adamw_step(state, p, g, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.scratch is scratch
+        # One temporary of p's size is 400 kB; the steps make none.
+        assert peak < p.nbytes // 10
+
     def test_zero_gradient_no_motion(self):
         p = np.ones((3, 3))
         adamw_step(AdamState(np.zeros((3, 3)), np.zeros((3, 3))), p,
@@ -381,11 +438,89 @@ class TestTraining:
         diffs = np.diff(trace.losses[warmup:])
         assert (diffs <= 1e-3).all()
 
+    @pytest.mark.parametrize("strategy", [None, "pissa"])
+    def test_empty_dataset_named_before_any_step(self, strategy):
+        model = toy_model()
+        if strategy:
+            model = inject_adapters(model, 2, strategy, RandomSource(1))
+        arrays = trained_arrays(model)
+        empty = Dataset(np.zeros((0, 6)), np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValueError, match="empty dataset"):
+            train_model(model, empty, TrainConfig(steps=3))
+        # Refused before the trainable arrays moved into the flat buffer.
+        assert all(a is b for a, b in zip(trained_arrays(model), arrays))
+
+
+# An independent training loop for the bit-equality tests below: the
+# textbook forward/backward and AdamW, one allocating expression per formula,
+# in the order of their first implementation. Only the data, the dequantizer
+# and the schedule come from the package.
+def textbook_dense(layer):
+    return (layer.base if isinstance(layer.base, np.ndarray)
+            else pissa.quant.dequantize(layer.base))
+
+
+def textbook_layer(layer, x, transpose=False):
+    """x W (x W^T) for W a plain matrix or base + scale A B."""
+    if isinstance(layer, np.ndarray):
+        return x @ (layer.T if transpose else layer)
+    p, base = layer.adapter, textbook_dense(layer)
+    if transpose:
+        return x @ base.T + p.scale * ((x @ p.b.T) @ p.a.T)
+    return x @ base + p.scale * ((x @ p.a) @ p.b)
+
+
+def textbook_cross_entropy(logits, labels):
+    b = logits.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.sum(np.exp(shifted), axis=1))
+    loss = float(np.mean(log_z - shifted[np.arange(b), labels]))
+    probs = np.exp(shifted - log_z[:, None])
+    probs[np.arange(b), labels] -= 1.0
+    return loss, probs / b
+
+
+def textbook_forward_backward(model, x, labels):
+    """Loss, gradients and the norm over the non-bias gradients, summed
+    layer 2 first."""
+    pre = textbook_layer(model.layer1, x) + model.bias1
+    h = np.maximum(pre, 0.0)
+    loss, d_logits = textbook_cross_entropy(
+        textbook_layer(model.layer2, h) + model.bias2, labels)
+    d_pre = textbook_layer(model.layer2, d_logits, transpose=True) * (pre > 0)
+    grads = {"bias2": d_logits.sum(axis=0), "bias1": d_pre.sum(axis=0)}
+    if model.has_adapters:
+        for key, inp, d_y, layer in (("l2", h, d_logits, model.layer2),
+                                     ("l1", x, d_pre, model.layer1)):
+            p = layer.adapter
+            grads[f"{key}.a"] = p.scale * (inp.T @ (d_y @ p.b.T))
+            grads[f"{key}.b"] = p.scale * ((inp @ p.a).T @ d_y)
+        weights = ("l2.a", "l2.b", "l1.a", "l1.b")
+    else:
+        grads["l2.w"] = h.T @ d_logits
+        grads["l1.w"] = x.T @ d_pre
+        weights = ("l2.w", "l1.w")
+    norm = math.sqrt(sum(float(np.sum(np.square(grads[k]))) for k in weights))
+    return loss, grads, norm
+
+
+def textbook_adamw(moments, p, g, t, lr):
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    m, v = moments
+    m *= b1
+    m += (1 - b1) * g
+    v *= b2
+    v += (1 - b2) * np.square(g)
+    m_hat = m / (1 - b1 ** t)
+    v_hat = v / (1 - b2 ** t)
+    p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
 
 def reference_train(model, dataset, cfg):
-    """The training loop without the run-wide layer-1 product and the flat
-    update: model_forward_backward on each batch (dequantizing a quantized
-    base every call) and one adamw_step per array, each with its own state."""
+    """The training loop without the run-wide layer-1 product, the flat
+    buffers and the in-place step: textbook_forward_backward on each batch
+    (dequantizing a quantized base every call) and one textbook AdamW update
+    per array."""
     gen = RandomSource(cfg.seed).generator()
     params = {"bias1": model.bias1, "bias2": model.bias2}
     if model.has_adapters:
@@ -395,8 +530,7 @@ def reference_train(model, dataset, cfg):
                        "l2.b": model.layer2.adapter.b})
     else:
         params.update({"l1.w": model.layer1, "l2.w": model.layer2})
-    states = {key: AdamState(np.zeros_like(p), np.zeros_like(p))
-              for key, p in params.items()}
+    moments = {key: (np.zeros_like(p), np.zeros_like(p)) for key, p in params.items()}
     losses, norms, lrs = [], [], []
     n = len(dataset)
     for step in range(cfg.steps):
@@ -405,13 +539,13 @@ def reference_train(model, dataset, cfg):
         else:
             idx = gen.integers(0, n, size=cfg.batch_size)
             xb, yb = dataset.features[idx], dataset.labels[idx]
-        loss, grads = model_forward_backward(model, xb, yb)
+        loss, grads, norm = textbook_forward_backward(model, xb, yb)
         lr_t = cosine_warmup_lr(step, cfg)
         losses.append(loss)
-        norms.append(adapter_grad_norm(grads))
+        norms.append(norm)
         lrs.append(lr_t)
         for key, p in params.items():
-            adamw_step(states[key], p, grads[key], lr_t)
+            textbook_adamw(moments[key], p, grads[key], step + 1, lr_t)
     return losses, norms, lrs
 
 
@@ -426,16 +560,27 @@ def trained_arrays(model):
 
 
 class TestTrainingMatchesReferenceLoop:
-    """train_model takes x base1 once per run and makes one AdamW update on a
-    flat buffer per step; both must leave every bit as a plain loop does."""
+    """train_model takes x base1 once per run, writes its products, gradients
+    and AdamW update in place and makes one update on a flat buffer per step;
+    all must leave every bit as the textbook loop does."""
 
     @pytest.mark.parametrize("batch_size", [16, 1000])
-    @pytest.mark.parametrize("strategy", ["pissa", "qpissa", "lora"])
+    @pytest.mark.parametrize("strategy", ["pissa", "qpissa", "lora", "qlora", "loftq"])
     def test_finetune(self, strategy, batch_size):
+        self.check_finetune(strategy, batch_size)
+
+    @pytest.mark.parametrize("scale", [2.5, 0.75])
+    @pytest.mark.parametrize("strategy", ["pissa", "qpissa"])
+    def test_finetune_at_scale(self, strategy, scale):
+        self.check_finetune(strategy, 16, scale)
+
+    def check_finetune(self, strategy, batch_size, scale=1.0):
         model, data = toy_model(4, d=12, h=16, c=4), toy_dataset(4, n=60, d=12)
         cfg = TrainConfig(lr=1e-2, batch_size=batch_size, steps=25, seed=3)
         tuned = inject_adapters(model, 3, strategy, RandomSource(cfg.seed))
         ref = inject_adapters(model, 3, strategy, RandomSource(cfg.seed))
+        for layer in (tuned.layer1, tuned.layer2, ref.layer1, ref.layer2):
+            layer.adapter.scale = scale
         trace = train_model(tuned, data, cfg)
         losses, norms, lrs = reference_train(ref, data, cfg)
         assert np.array_equal(trace.losses, losses)
@@ -456,6 +601,20 @@ class TestTrainingMatchesReferenceLoop:
                        rng.spawn(12).normal((16, 4)) * math.sqrt(1.0 / 16),
                        np.zeros(4))
         reference_train(ref, data, cfg)
+        for got, want in zip(trained_arrays(model), trained_arrays(ref)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("batch_size", [16, 1000])
+    def test_pretrain_trace(self, batch_size):
+        # A plain-matrix run from train_model, so its trace is checked too.
+        data = toy_dataset(6, n=60, d=12)
+        cfg = TrainConfig(lr=1e-2, batch_size=batch_size, steps=25, seed=5)
+        model, ref = toy_model(6, d=12, h=16, c=4), toy_model(6, d=12, h=16, c=4)
+        trace = train_model(model, data, cfg)
+        losses, norms, lrs = reference_train(ref, data, cfg)
+        assert np.array_equal(trace.losses, losses)
+        assert np.array_equal(trace.grad_norms, norms)
+        assert np.array_equal(trace.lrs, lrs)
         for got, want in zip(trained_arrays(model), trained_arrays(ref)):
             assert np.array_equal(got, want)
 
@@ -504,3 +663,5 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), [0, -1, 2])
     with pytest.raises(Exception):
         Dataset(np.zeros((3, 2)), [0, 1])
+    with pytest.raises(ShapeError, match="one label per feature row"):
+        Dataset(np.zeros((3, 2)), [[0], [1], [2]])
