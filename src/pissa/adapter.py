@@ -152,22 +152,20 @@ def variant_init(w: np.ndarray, r: int, window: str) -> DecomposedLayer:
 
 
 def _layer_product(layer, x: np.ndarray, transpose: bool = False,
-                   x_base: np.ndarray | None = None, with_rank: bool = False):
-    """x W, or x W^T, for a plain matrix W or a DecomposedLayer, whose
-    W = base + scale A B is never formed: x base + scale (x A) B, or
-    x base^T + scale (x B^T) A^T, with rank-r intermediates. x_base, if given,
-    is x base (x base^T when transposed), taken ahead by the caller.
+                   x_base: np.ndarray | None = None):
+    """(x W, x A), or (x W^T, x B^T), for a plain matrix W (x A is None) or
+    a DecomposedLayer, whose W = base + scale A B is never formed: x base +
+    scale (x A) B, or x base^T + scale (x B^T) A^T, with rank-r intermediates
+    (x A serves the rank-first gradients). x_base, if given, is x base
+    (x base^T when transposed), taken ahead by the caller.
 
     The result is a new array that the product writes in place: (x A) B, then
     times scale unless scale is 1, then plus x base. Sums and products
-    commute, so its bits are those of x base + scale ((x A) B). with_rank
-    returns (result, x A) instead, for the rank-first gradients (x A is None
-    for a plain matrix). Unchecked, so a diverged (non-finite) activation
-    reaches the training loss.
+    commute, so its bits are those of x base + scale ((x A) B). Unchecked, so
+    a diverged (non-finite) activation reaches the training loss.
     """
     if not isinstance(layer, DecomposedLayer):
-        y = x @ (layer.T if transpose else layer)
-        return (y, None) if with_rank else y
+        return x @ (layer.T if transpose else layer), None
     p = layer.adapter
     a, b = (p.b.T, p.a.T) if transpose else (p.a, p.b)
     if x_base is None:
@@ -177,7 +175,7 @@ def _layer_product(layer, x: np.ndarray, transpose: bool = False,
     if p.scale != 1:
         y *= p.scale
     y += x_base
-    return (y, x_a) if with_rank else y
+    return y, x_a
 
 
 def forward(layer: DecomposedLayer, x: np.ndarray) -> np.ndarray:
@@ -185,7 +183,7 @@ def forward(layer: DecomposedLayer, x: np.ndarray) -> np.ndarray:
     x = as_matrix(x)
     if x.shape[1] != layer.shape[0]:
         raise ShapeError(f"input cols {x.shape[1]} != layer rows {layer.shape[0]}")
-    return _layer_product(layer, x)
+    return _layer_product(layer, x)[0]
 
 
 def adapter_gradients(x: np.ndarray, d_y: np.ndarray,

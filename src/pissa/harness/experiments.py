@@ -2,8 +2,9 @@
 
 Each experiment kind expands into one report row per (seed x configuration).
 Rows carry the seed, the PRNG name, and a hash of the spec (output path
-excluded) so any report can be replayed bit-for-bit. Per-row failures are
-recorded and the run continues.
+excluded) so any report can be replayed bit-for-bit at the same OpenBLAS
+thread count; at another count the LAPACK eigensolver may return other
+bits. Per-row failures are recorded and the run continues.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind: {self.kind}")
-        if not self.seeds:
-            raise ValueError("seeds must be non-empty")
+        for name in ("seeds", "ranks", "iters", "niters", "strategies"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be non-empty")
         unknown = [s for s in self.strategies if s not in STRATEGIES]
         if unknown:
             raise ValueError(f"unknown init strategy: {', '.join(unknown)}")

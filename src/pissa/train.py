@@ -9,7 +9,7 @@ loss, adapter gradient norm, and learning rate per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,12 +77,16 @@ class TrainTrace:
 
 @dataclass
 class MlpModel:
-    """Two-layer rectifier MLP; layers are plain matrices or adapter layers."""
+    """Two-layer rectifier MLP; both layers plain matrices or both adapter layers."""
 
     layer1: object  # np.ndarray (d x h) or DecomposedLayer
     bias1: np.ndarray
     layer2: object  # np.ndarray (h x c) or DecomposedLayer
     bias2: np.ndarray
+
+    def __post_init__(self):
+        if self.has_adapters != isinstance(self.layer2, DecomposedLayer):
+            raise TypeError("layer1 and layer2 must both be plain or both adapters")
 
     @property
     def has_adapters(self) -> bool:
@@ -104,16 +108,12 @@ def cross_entropy_with_grad(logits: np.ndarray,
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError("label out of range")
     shifted = logits - logits.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    log_z = np.log(np.sum(probs, axis=1))
+    log_z = np.log(np.sum(np.exp(shifted), axis=1))
     rows = np.arange(b)
     loss = float(np.mean(log_z - shifted[rows, labels]))
-    # The gradient softmax(logits) - onehot(labels), over b, in place.
-    shifted -= log_z[:, None]
-    np.exp(shifted, out=probs)
+    probs = np.exp(shifted - log_z[:, None])
     probs[rows, labels] -= 1.0
-    probs /= b
-    return loss, probs
+    return loss, probs / b
 
 
 def _dense_view(model: MlpModel) -> MlpModel:
@@ -152,16 +152,16 @@ def _forward_backward(model: MlpModel, x: np.ndarray, labels: np.ndarray,
     # Every array below is new to this call, so the biases, the rectifier
     # mask and the scales go in place; x A1 and h A2 of the forward pass serve
     # the rank-first gradients.
-    pre, x_a1 = _layer_product(model.layer1, x, x_base=x_base1, with_rank=True)
+    pre, x_a1 = _layer_product(model.layer1, x, x_base=x_base1)
     pre += model.bias1
     h = np.maximum(pre, 0.0)
-    logits, h_a2 = _layer_product(model.layer2, h, with_rank=True)
+    logits, h_a2 = _layer_product(model.layer2, h)
     logits += model.bias2
     loss, d_logits = cross_entropy_with_grad(logits, labels)
 
     grads: dict[str, np.ndarray] = {
         "bias2": d_logits.sum(axis=0, out=out.get("bias2"))}
-    d_pre = _layer_product(model.layer2, d_logits, transpose=True)
+    d_pre = _layer_product(model.layer2, d_logits, transpose=True)[0]
     np.multiply(d_pre, pre > 0, out=d_pre)
     grads["bias1"] = d_pre.sum(axis=0, out=out.get("bias1"))
     if isinstance(model.layer2, DecomposedLayer):
@@ -183,16 +183,11 @@ WARMUP_RATIO = 0.03
 
 @dataclass
 class AdamState:
-    """Moment accumulators of one array, and the step count.
-
-    scratch holds two work arrays of the array's shape; adamw_step makes them
-    on first use, so AdamState(m, v) is all a caller builds.
-    """
+    """Moment accumulators of one array, and the step count."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    scratch: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def adamw_step(state: AdamState, p: np.ndarray, g: np.ndarray,
@@ -200,9 +195,8 @@ def adamw_step(state: AdamState, p: np.ndarray, g: np.ndarray,
     """One adaptive-moment update of p in place (AdamW, zero weight decay).
 
     g, state.m and state.v must have p's shape (ShapeError otherwise): none
-    broadcasts. The update writes into the moments and the state's two
-    scratch arrays and allocates nothing after the first call. It runs the
-    textbook ufuncs in the textbook order,
+    broadcasts. The update writes into the moments and two work arrays of
+    p's shape. It runs the textbook ufuncs in the textbook order,
         m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g^2,
         p -= lr_t (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps),
     with the scalar products commuted, so p gets the textbook bits.
@@ -212,10 +206,8 @@ def adamw_step(state: AdamState, p: np.ndarray, g: np.ndarray,
            if arr.shape != p.shape]
     if bad:
         raise ShapeError(f"adamw_step: p has shape {p.shape}, but {', '.join(bad)}")
-    if state.scratch is None or state.scratch[0].shape != p.shape:
-        state.scratch = (np.empty(p.shape), np.empty(p.shape))
     state.t += 1
-    m, v, (s1, s2) = state.m, state.v, state.scratch
+    m, v, s1, s2 = state.m, state.v, np.empty(p.shape), np.empty(p.shape)
     m *= ADAM_BETA1
     m += np.multiply(g, 1 - ADAM_BETA1, out=s1)
     v *= ADAM_BETA2
@@ -274,20 +266,10 @@ def inject_adapters(model: MlpModel, rank: int, strategy: str,
     return MlpModel(l1, model.bias1.copy(), l2, model.bias2.copy())
 
 
-def _flat_views(flat: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
-    """Consecutive C-contiguous views of flat, one per key, of the given shapes."""
-    views, offset = {}, 0
-    for key, shape in shapes.items():
-        size = math.prod(shape)
-        views[key] = flat[offset:offset + size].reshape(shape)
-        offset += size
-    return views
-
-
-def _pack_trainable(model: MlpModel) -> tuple[np.ndarray, dict[str, tuple]]:
+def _pack_trainable(model: MlpModel) -> tuple[np.ndarray, np.ndarray, dict]:
     """Copy the trainable arrays into one flat buffer and point the model at
-    C-contiguous views of it; return the buffer and each gradient key's
-    shape, in buffer order.
+    C-contiguous views of it; return the buffer, a gradient buffer of its
+    layout and that buffer's views by gradient key.
 
     The update is elementwise, so one AdamW step on the buffer gives each
     array the bits a step per array would.
@@ -301,11 +283,13 @@ def _pack_trainable(model: MlpModel) -> tuple[np.ndarray, dict[str, tuple]]:
         slots.update({"l1.w": (model, "layer1"), "l2.w": (model, "layer2")})
     arrays = [getattr(owner, attr) for owner, attr in slots.values()]
     flat = np.concatenate(arrays, axis=None)
-    shapes = {key: arr.shape for key, arr in zip(slots, arrays)}
-    views = _flat_views(flat, shapes)
-    for key, (owner, attr) in slots.items():
-        setattr(owner, attr, views[key])
-    return flat, shapes
+    grad = np.empty_like(flat)
+    grad_views, offset = {}, 0
+    for (key, (owner, attr)), arr in zip(slots.items(), arrays):
+        setattr(owner, attr, flat[offset:offset + arr.size].reshape(arr.shape))
+        grad_views[key] = grad[offset:offset + arr.size].reshape(arr.shape)
+        offset += arr.size
+    return flat, grad, grad_views
 
 
 def adapter_grad_norm(grads: dict) -> float:
@@ -328,9 +312,7 @@ def train_model(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> TrainTra
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset (0 rows)")
     gen = RandomSource(cfg.seed).generator()
-    flat, shapes = _pack_trainable(model)
-    grad = np.empty_like(flat)
-    grad_views = _flat_views(grad, shapes)
+    flat, grad, grad_views = _pack_trainable(model)
     view = _dense_view(model)
     x_base1 = dataset.features @ view.layer1.base if model.has_adapters else None
     state = AdamState(np.zeros_like(flat), np.zeros_like(flat))
@@ -400,7 +382,7 @@ def gradcheck(model: MlpModel, x: np.ndarray, labels: np.ndarray,
     x = as_matrix(x).copy()
     view = _dense_view(model)
     for _ in range(8):
-        pre = _layer_product(view.layer1, x) + view.bias1
+        pre = _layer_product(view.layer1, x)[0] + view.bias1
         if np.min(np.abs(pre)) >= 1e-3:
             break
         x += 1e-3

@@ -455,6 +455,15 @@ class TestExperiments:
         assert f"ValueError: {field} must be" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("kind, field", [
+        ("quant-bench", "ranks"), ("quant-bench", "iters"), ("fastsvd-bench", "niters"),
+        ("converge", "strategies"), ("gradcheck", "seeds")])
+    def test_empty_sweep_rejected(self, kind, field):
+        # An empty sweep used to crash quant-bench (ranks) or write a report
+        # short of rows, for converge after pretraining.
+        with pytest.raises(ValueError, match=f"{field} must be non-empty"):
+            ExperimentSpec(kind=kind, **{field: ()})
+
     def test_rank_above_the_matrix_rejected(self):
         with pytest.raises(ValueError, match=r"rank exceeds min\(m, n\)"):
             ExperimentSpec(kind="quant-bench", m=8, n=12, ranks=(4, 9))

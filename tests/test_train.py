@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +114,17 @@ class TestModelForwardBackward:
             inject_adapters(model, 2, "pissa", RandomSource(1))
         with pytest.raises(ValueError, match="unknown init strategy: bogus"):
             inject_adapters(toy_model(), 2, "bogus", RandomSource(1))
+
+    @pytest.mark.parametrize("adapter_layer", [1, 2])
+    def test_one_adapter_layer_beside_a_plain_one_rejected(self, adapter_layer):
+        # An adapter layer 1 over a plain layer 2 used to return a full-weight
+        # l1.w gradient for the frozen layer; the other mix failed in training.
+        plain = toy_model()
+        tuned = inject_adapters(plain, 2, "pissa", RandomSource(1))
+        layers = [plain.layer1, plain.layer2]
+        layers[adapter_layer - 1] = getattr(tuned, f"layer{adapter_layer}")
+        with pytest.raises(TypeError, match="both be plain or both adapters"):
+            MlpModel(layers[0], plain.bias1, layers[1], plain.bias2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_batch_rejected(self, bad):
@@ -246,25 +256,6 @@ class TestAdamW:
             adamw_step(state, p, np.full(9, 0.5), 0.1)
         assert np.array_equal(p, np.ones(9))
         assert state.t == 1
-
-    def test_scratch_made_once_and_no_step_allocates(self):
-        n = 50_000
-        p, g = np.zeros(n), RandomSource(1).normal(n)
-        state = AdamState(np.zeros(n), np.zeros(n))
-        assert state.scratch is None
-        adamw_step(state, p, g, 1e-3)
-        scratch = state.scratch
-        assert [s.shape for s in scratch] == [(n,), (n,)]
-        tracemalloc.start()
-        try:
-            for _ in range(3):
-                adamw_step(state, p, g, 1e-3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert state.scratch is scratch
-        # One temporary of p's size is 400 kB; the steps make none.
-        assert peak < p.nbytes // 10
 
     def test_zero_gradient_no_motion(self):
         p = np.ones((3, 3))
