@@ -165,14 +165,16 @@ def _signed_factors(w: np.ndarray, u, s, vt) -> tuple[SvdFactors, float]:
 def exact_svd(w: np.ndarray) -> SvdFactors:
     """Economy SVD with descending singular values and a fixed sign convention.
 
-    numpy's gesdd runs first; when it fails or misses the contract (as on
-    some near-degenerate spectra), LAPACK dgesvd runs once (_gesvd). The
-    reconstruction residual's relative_error is within TOLERANCE (1e-10);
-    a miss raises NumericalError with the achieved residual.
+    LAPACK dgesdd runs first (_gesdd, np.linalg.svd's bits with u and v
+    in the column-major layout it writes); when it fails or misses the
+    contract (as on some near-degenerate spectra), LAPACK dgesvd runs once
+    (_gesvd). The reconstruction residual's relative_error is within
+    TOLERANCE (1e-10); a miss raises NumericalError with the achieved
+    residual.
     """
     w, e = _pow2_scaled(as_matrix(w))
     try:
-        factors, resid = _signed_factors(w, *np.linalg.svd(w, full_matrices=False))
+        factors, resid = _signed_factors(w, *_gesdd(w, "S"))
     except np.linalg.LinAlgError:
         resid = np.inf
     # Written as "not <=", so that a NaN residual misses the contract too.
@@ -200,6 +202,9 @@ def _bind(name: str, *argtypes):
 
 _I64, _PTR, _DBL, _CHAR = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_char
 _I64P = ctypes.POINTER(_I64)
+# layout, jobz, m, n, a, lda, s, u, ldu, vt, ldvt
+_DGESDD = _bind("dgesdd", ctypes.c_int, _CHAR, _I64, _I64, _PTR, _I64, _PTR, _PTR, _I64,
+                _PTR, _I64)
 # layout, jobu, jobvt, m, n, a, lda, s, u, ldu, vt, ldvt, superb
 _DGESVD = _bind("dgesvd", ctypes.c_int, _CHAR, _CHAR, _I64, _I64, _PTR, _I64, _PTR,
                 _PTR, _I64, _PTR, _I64, _PTR)
@@ -215,6 +220,26 @@ _DSTEMR = _bind("dstemr", ctypes.c_int, _CHAR, _CHAR, _I64, _PTR, _PTR, _DBL, _D
 # layout, side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork
 _DORMTR = _bind("dormtr_work", ctypes.c_int, _CHAR, _CHAR, _CHAR, _I64, _I64, _PTR, _I64,
                 _PTR, _PTR, _I64, _PTR, _I64)
+
+
+def _gesdd(w: np.ndarray, jobz: str):
+    """np.linalg.svd(w, full_matrices=False) for jobz "S", and its values
+    alone (compute_uv=False) for "N", bit for bit: LAPACK dgesdd on one
+    column-major copy of w, with u and vt left in the column-major layout
+    it writes (numpy copies both to row-major). LinAlgError when dgesdd
+    fails; numpy's own SVD when it is not bound."""
+    if _DGESDD is None:
+        return np.linalg.svd(w, full_matrices=False, compute_uv=jobz == "S")
+    (m, n), k = w.shape, min(w.shape)
+    cols = k if jobz == "S" else 0
+    u, s, vt = np.empty((m, cols), order="F"), np.empty(k), np.empty((cols, n), order="F")
+    if k:
+        a = np.array(w, order="F")  # dgesdd overwrites its input
+        info = _DGESDD(102, jobz.encode(), m, n, a.ctypes.data, m, s.ctypes.data,
+                       u.ctypes.data, m, vt.ctypes.data, k)
+        if info:
+            raise np.linalg.LinAlgError(f"SVD did not converge: dgesdd info {info}")
+    return (u, s, vt) if jobz == "S" else s
 
 
 def _gesvd(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -312,14 +337,15 @@ def _gram_nuclear(t: np.ndarray) -> float | None:
         low = _eigenvectors(tri, 1, k)
         if low is None:
             return None
-        total += float(np.sum(np.linalg.svd(t @ low.T, compute_uv=False)))
+        total += float(np.sum(_gesdd(t @ low.T, "N")))
     return total
 
 
 def nuclear_norm(m: np.ndarray) -> float:
     """Sum of singular values (trace norm): within 1e-12 relative of
-    np.sum(np.linalg.svd(m, compute_uv=False)), the sum it returns when the
-    fast path does not apply. A zero matrix gives exactly 0.0.
+    np.sum(np.linalg.svd(m, compute_uv=False)), the sum it returns, from
+    dgesdd's values alone (_gesdd), when the fast path does not apply. A
+    zero matrix gives exactly 0.0.
 
     The fast path takes the eigenvalues lambda of the Gram matrix of m's
     shorter side. The root of lambda_i is off by up to eps *
@@ -335,7 +361,7 @@ def nuclear_norm(m: np.ndarray) -> float:
     m, e = _pow2_scaled(as_matrix(m))
     total = _gram_nuclear(m.T if m.shape[0] < m.shape[1] else m)
     if total is None:
-        total = float(np.sum(np.linalg.svd(m, compute_uv=False)))
+        total = float(np.sum(_gesdd(m, "N")))
     return float(_unscaled(total, e))
 
 

@@ -799,15 +799,15 @@ def test_cli_runs_without_loading_scipy(tmp_path):
                 "converge --seeds 0 --steps 3 --strategies principal,medium,minor --out a.csv",
                 "gradcheck --seeds 0 --strategies pissa,qpissa,lora --out g.csv"]:
             assert cli.main(cmd.split()) == 0, cmd
-        svd, failed = np.linalg.svd, []
+        gesdd, failed = linalg._gesdd, []
 
-        def fail_once(*args, **kwargs):
+        def fail_once(*args):
             if not failed:
                 failed.append(True)
                 raise np.linalg.LinAlgError("SVD did not converge")
-            return svd(*args, **kwargs)
+            return gesdd(*args)
 
-        np.linalg.svd = fail_once
+        linalg._gesdd = fail_once
         w = generate_spectral_matrix(24, 16, 1.0, 1)
         f = linalg.exact_svd(w)
         assert failed

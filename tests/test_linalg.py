@@ -1,4 +1,9 @@
 import ctypes
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,14 +173,14 @@ class TestNorms:
         # These matrices must be summed from their Gram spectrum, without
         # their full SVD, to within 1e-13 (the root estimates stop at 2e-14).
         m = NUCLEAR_CASES[case]()
-        expected, svd = _svd_sum(m), np.linalg.svd
+        expected, gesdd = _svd_sum(m), linalg._gesdd
 
-        def thin_only(a, *args, **kwargs):
+        def thin_only(a, jobz):
             if a.shape == m.shape:
                 raise AssertionError("nuclear_norm took the full SVD")
-            return svd(a, *args, **kwargs)
+            return gesdd(a, jobz)
 
-        monkeypatch.setattr(np.linalg, "svd", thin_only)
+        monkeypatch.setattr(linalg, "_gesdd", thin_only)
         assert nuclear_norm(m) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_one_tridiagonal_reduction_per_call(self, monkeypatch):
@@ -283,18 +288,18 @@ class TestExactSvd:
     def test_contract_miss_falls_back_then_raises(self, monkeypatch):
         w = generate_spectral_matrix(12, 10, 1.0, 0)
         good = exact_svd(w)
-        svd, gesvd, retries = np.linalg.svd, linalg._gesvd, []
+        gesdd, gesvd, retries = linalg._gesdd, linalg._gesvd, []
 
         def spy(m):
             retries.append(m.shape)
             return gesvd(m)
 
-        def off(m, **kwargs):
+        def off(m, *jobz):
             # A driver that returns but misses the reconstruction contract.
-            u, s, vt = svd(m, full_matrices=False)
+            u, s, vt = gesdd(m, "S")
             return u, s * (1 + 1e-6), vt
 
-        monkeypatch.setattr(np.linalg, "svd", off)
+        monkeypatch.setattr(linalg, "_gesdd", off)
         monkeypatch.setattr(linalg, "_gesvd", spy)
         fallback = exact_svd(w)
         assert retries == [w.shape]
@@ -306,10 +311,10 @@ class TestExactSvd:
 
     @staticmethod
     def _gesdd_fails(monkeypatch):
-        def failing(m, **kwargs):
+        def failing(m, jobz):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(np.linalg, "svd", failing)
+        monkeypatch.setattr(linalg, "_gesdd", failing)
 
     def test_unbound_dgesvd_raises_named_error(self, monkeypatch):
         # numpy on another LAPACK (no LAPACKE dgesvd symbol): a gesdd
@@ -332,13 +337,13 @@ class TestExactSvd:
     def test_nan_residual_misses_the_contract(self, monkeypatch):
         # Drivers that return NaN singular values give a NaN residual, which
         # must miss the contract as a residual above TOLERANCE does.
-        svd = np.linalg.svd
+        gesdd = linalg._gesdd
 
-        def nan_values(m, **kwargs):
-            u, s, vt = svd(m, full_matrices=False)
+        def nan_values(m, *jobz):
+            u, s, vt = gesdd(m, "S")
             return u, np.full_like(s, np.nan), vt
 
-        monkeypatch.setattr(np.linalg, "svd", nan_values)
+        monkeypatch.setattr(linalg, "_gesdd", nan_values)
         monkeypatch.setattr(linalg, "_gesvd", nan_values)
         with pytest.raises(NumericalError, match="nan"):
             exact_svd(generate_spectral_matrix(12, 10, 1.0, 0))
@@ -370,6 +375,75 @@ def test_gesvd_reconstructs(name):
     assert linalg.relative_error((u * s) @ vt - w, w) <= linalg.TOLERANCE
 
 
+GESDD_CASES = {
+    **GESVD_CASES,
+    "square": RandomSource(16).normal((48, 48)),
+    "empty_wide": np.zeros((5, 0)),
+    "empty_square": np.zeros((0, 0)),
+    "strided_view": RandomSource(17).normal((80, 60))[::2, ::3],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GESDD_CASES))
+def test_gesdd_keeps_numpys_bits(name, monkeypatch):
+    # Bound or not, _gesdd returns np.linalg.svd's economy factors and
+    # values bit for bit, and dgesdd overwrites a copy of w only.
+    w = GESDD_CASES[name]
+    original = w.copy()
+    want = (*np.linalg.svd(w, full_matrices=False), np.linalg.svd(w, compute_uv=False))
+    for binding in (linalg._DGESDD, None):
+        monkeypatch.setattr(linalg, "_DGESDD", binding)
+        got = (*linalg._gesdd(w, "S"), linalg._gesdd(w, "N"))
+        for x, y in zip(got, want):
+            assert x.shape == y.shape and np.array_equal(x, y)
+        assert np.array_equal(w, original)
+
+
+def test_dgesdd_failure_takes_the_gesvd_retry(monkeypatch):
+    # dgesdd's info != 0 is numpy's LinAlgError, on which exact_svd runs
+    # dgesvd once.
+    w = generate_spectral_matrix(12, 10, 1.0, 0)
+    monkeypatch.setattr(linalg, "_DGESDD", lambda *args: 4)
+    with pytest.raises(np.linalg.LinAlgError, match="dgesdd info 4"):
+        linalg._gesdd(w, "N")
+    retries = _spy(monkeypatch, "_gesvd")
+    f = exact_svd(w)
+    assert len(retries) == 1
+    assert linalg.relative_error(f.reconstruct() - w, w) <= linalg.TOLERANCE
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the resident set from /proc/self/status")
+def test_exact_svd_working_memory():
+    # One exact_svd of a 1024^2 Gaussian lifts a fresh interpreter's peak
+    # resident set over its resident set by 6.2 matrix sizes: w's
+    # column-major copy, dgesdd's work, the factors and the residual.
+    # numpy's SVD wrapper also kept row-major copies of u and vt: 8.2.
+    # The peak is VmHWM: ru_maxrss carries the parent's peak across exec,
+    # and pytest's own resident set can exceed the child's.
+    script = textwrap.dedent("""
+        from pissa.linalg import RandomSource, exact_svd
+
+        def kib(field):
+            with open("/proc/self/status") as f:
+                return next(int(line.split()[1]) for line in f
+                            if line.startswith(field + ":"))
+
+        exact_svd(RandomSource(1).normal((64, 64)))  # BLAS and LAPACK set-up
+        w = RandomSource(0).normal((1024, 1024))
+        resident = kib("VmRSS")
+        exact_svd(w)
+        print((kib("VmHWM") - resident) * 1024 / w.nbytes)
+    """)
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert float(result.stdout) <= 7.0
+
+
 # (matrix, r) pairs with 4 r >= min(m, n), so the Krylov path does not run:
 # tall, wide, r = min(m, n), rank deficient (rank 4, asked for 6), zero, and
 # a single row. All but r = min(m, n) and the single row take the Gram path;
@@ -387,17 +461,17 @@ LEADING_CASES = {
 
 
 def _forbid_full_svd(monkeypatch, w):
-    # np.linalg.svd raises on a matrix of w's shape: the full SVD of
+    # linalg._gesdd raises on a matrix of w's shape: the full SVD of
     # exact_svd(w), the fallback, must not run, whatever power of two
     # exact_svd has scaled w by. Thin products such as the Ritz step's pass.
-    svd = np.linalg.svd
+    gesdd = linalg._gesdd
 
-    def thin_only(a, *args, **kwargs):
+    def thin_only(a, jobz):
         if a.shape == w.shape:
             raise AssertionError("the full SVD ran")
-        return svd(a, *args, **kwargs)
+        return gesdd(a, jobz)
 
-    monkeypatch.setattr(np.linalg, "svd", thin_only)
+    monkeypatch.setattr(linalg, "_gesdd", thin_only)
 
 
 def _assert_same_bits(f, ref):
@@ -817,9 +891,10 @@ def test_every_initializer_runs_without_dsyevr(monkeypatch):
 
 
 def test_numpy_exports_every_lapack_routine_linalg_binds():
-    # numpy's OpenBLAS wheels export all five; a wheel that drops one fails
-    # here by name rather than silently taking a full-SVD fallback.
-    missing = [name for name in ("_DGESVD",) + _TRIDIAGONAL_STEPS
+    # numpy's OpenBLAS wheels export all six; a wheel that drops one fails
+    # here by name rather than silently taking numpy's SVD or a full-SVD
+    # fallback.
+    missing = [name for name in ("_DGESDD", "_DGESVD") + _TRIDIAGONAL_STEPS
                if getattr(linalg, name) is None]
     assert not missing
 
@@ -1178,20 +1253,21 @@ class TestCholeskyQr2Ritz:
     @pytest.mark.parametrize("shape", [(96, 64), (64, 96)])
     @pytest.mark.parametrize("fast", ["randomized", "leading"])
     def test_no_thin_svd_on_spectral_matrices(self, shape, fast, monkeypatch):
-        # The fast path runs: np.linalg.svd sees only the small k x k factor.
+        # The fast path runs: the SVD sees only the small k x k factor.
         w = generate_spectral_matrix(*shape, 1.0, 0)
-        ref, svd = exact_svd(w).truncate(8), np.linalg.svd
+        ref, gesdd, seen = exact_svd(w).truncate(8), linalg._gesdd, []
 
-        def square_only(a, *args, **kwargs):
+        def square_only(a, jobz):
             if a.shape[0] != a.shape[1]:
                 raise AssertionError(f"SVD of a {a.shape} matrix")
-            return svd(a, *args, **kwargs)
+            seen.append(a.shape)
+            return gesdd(a, jobz)
 
-        monkeypatch.setattr(np.linalg, "svd", square_only)
+        monkeypatch.setattr(linalg, "_gesdd", square_only)
         helper = _spy(monkeypatch, "_cholesky_qr2")
         f = (randomized_svd(w, 8, 2, RandomSource(0)) if fast == "randomized"
              else leading_svd(w, 8))
-        assert len(helper) == 1 and helper[0] is not None
+        assert len(helper) == 1 and helper[0] is not None and seen
         rtol = 1e-2 if fast == "randomized" else 1e-12
         np.testing.assert_allclose(f.s, ref.s, rtol=rtol, atol=0)
 
