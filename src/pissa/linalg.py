@@ -443,7 +443,7 @@ def leading_svd(w: np.ndarray, r: int) -> SvdFactors:
     one of its row space: relative_error(residual, w) <= TOLERANCE.
 
     The Krylov path runs first, when 4 r < min(m, n), so its basis never
-    fills the space: randomized_svd's block Krylov loop at depth 3 from a
+    fills the space: the block Krylov loop (_krylov) at depth 3 from a
     fixed internal RandomSource, then one Rayleigh-Ritz step (_ritz). It
     converges at a rate set by the gap sigma_r / sigma_(r+1), so it gives
     up after depth 1 when a column of the new block keeps more than 0.05
@@ -451,7 +451,7 @@ def leading_svd(w: np.ndarray, r: int) -> SvdFactors:
     sigma_r)^2 where a gap exists, a large share where the spectrum runs
     on flat past sigma_r. As the residual cannot see a triplet the basis
     misses, it also gives up unless no triplet outside the basis can
-    belong to the top r (_krylov_svd's separation test), which a near tie
+    belong to the top r (the separation test below), which a near tie
     at r never passes. The Gram path runs otherwise: the top r
     eigenvectors of the Gram matrix of w's shorter side (_gram_basis) and
     one Ritz step on the tall r-column product. Its fallback,
@@ -463,7 +463,21 @@ def leading_svd(w: np.ndarray, r: int) -> SvdFactors:
     _check_rank(w, r)
     f = None
     if (_KRYLOV_DEPTH + 1) * r < min(w.shape):
-        f = _krylov_svd(w, r, _KRYLOV_DEPTH, _KRYLOV_SOURCE, _KRYLOV_GIVE_UP)
+        passes = _krylov(w, _KRYLOV_SOURCE.normal((w.shape[1], r)), _KRYLOV_DEPTH)
+        for depth, (basis, rows, before, after) in enumerate(passes):
+            if depth == 1 and np.any(after > _KRYLOV_GIVE_UP * before):
+                del passes, basis, rows  # the Gram path runs without their buffers
+                break
+        else:
+            f = _ritz(rows.T, basis, swap=True)
+            # Weyl: sigma_(r+1)(w) <= theta_(r+1) + ||w - Q Q^T w||_2 for the Ritz
+            # values theta, so when that sum stays below theta_r no triplet outside
+            # the basis belongs in the top r. The difference is formed, since
+            # ||w||^2 - ||Q^T w||^2 cancels to rounding where the basis holds w.
+            outside = frobenius_norm(basis @ rows - w)
+            theta_next = f.s[r] if f.rank > r else 0.0
+            f = f.truncate(r) if (outside <= TOLERANCE * frobenius_norm(w)
+                                  or theta_next + outside < f.s[r - 1]) else None
     if f is None or not relative_error(w @ f.v - f.u * f.s, w) <= TOLERANCE:
         f = _gram_svd(w, r)
     f.s = _unscaled(f.s, e)
@@ -486,78 +500,63 @@ def qr_thin(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def randomized_svd(w: np.ndarray, r: int, niter: int,
                    rng: RandomSource) -> SvdFactors:
-    """Truncated rank-r SVD from a Gaussian block Krylov range finder.
-
-    The basis spans W Omega, (W W^T) W Omega, ..., (W W^T)^q W Omega for a
-    Gaussian n x r Omega and the Krylov depth q = ``niter``, in 2q + 2
-    passes over w with a block of columns each. Block width r: at rank 16
-    and niter 4 at 1024^2 on 2 vCPUs, r took 25 ms and r + 2 (more
-    accurate) 30 ms, as long as subspace iteration with 10 extra columns
-    (30 ms). Each new block, w (w^T Q) for the last block Q, is projected
-    twice off the earlier blocks, QR'd and projected once more. Deflation
-    drops a column that the two projections shrink below 1e-10 of its norm
-    (w has exact rank); no block follows once none survives or the basis
-    has min(m, n) columns (the last block cut to fit), where the Ritz step
-    (leading_svd's; no fallback of its own here) is the exact SVD. The
-    Ritz step's product w^T basis is the blocks' Q^T w, which the passes
-    take anyway. Deterministic given ``rng``.
-    """
+    """Truncated rank-r SVD: every pass of _krylov to depth ``niter`` from
+    an n x r Gaussian start block drawn from ``rng``, then the Ritz step
+    (_ritz; no fallback of its own here). Block width r: at rank 16 and
+    niter 4 at 1024^2 on 2 vCPUs, r took 25 ms and r + 2 (more accurate)
+    30 ms, as long as subspace iteration with 10 extra columns (30 ms).
+    Deterministic given ``rng``."""
     w, e = _pow2_scaled(as_matrix(w))
     _check_rank(w, r)
     if niter < 0:
         raise ValueError("niter must be non-negative")
-    f = _krylov_svd(w, r, niter, rng)
+    for basis, rows, _, _ in _krylov(w, rng.normal((w.shape[1], r)), niter):
+        pass
+    f = _ritz(rows.T, basis, swap=True).truncate(r)
     f.s = _unscaled(f.s, e)
     return f
 
 
-def _krylov_svd(w: np.ndarray, r: int, niter: int, rng: RandomSource,
-                give_up: float | None = None) -> SvdFactors | None:
-    """randomized_svd's Krylov loop and Ritz step on the scaled w. When
-    give_up is set, None when a column of the depth-2 block keeps more than
-    give_up of its norm after its projections off blocks 0 and 1, and None
-    unless the Ritz values theta and the basis Q pass the separation test:
-    ||w - Q Q^T w||_F <= TOLERANCE ||w||_F, or theta_(r+1) (0 past the
-    basis) plus ||w - Q Q^T w||_F is below theta_r."""
+def _krylov(w: np.ndarray, start: np.ndarray, niter: int):
+    """Block Krylov range finder (Halko, Martinsson and Tropp, SIAM Review
+    2011, section 4; Musco and Musco, NeurIPS 2015) on the scaled w from
+    the n x r block start: Q spans W S, (W W^T) W S, ..., (W W^T)^q W S for
+    q = niter, in 2q + 2 passes over w with r columns each. Each new block,
+    w (w^T Q) for the last block Q, is projected twice off the earlier
+    blocks, QR'd and projected once more. Deflation drops a column that the
+    two projections shrink below 1e-10 of its norm (w has exact rank); no
+    block follows once none survives or the basis has min(m, n) columns
+    (the last block cut to fit). Yields after each pass (Q, Q^T w, the next
+    block's column norms before its projections, the same after them),
+    both norms None after the last pass; a caller that stops iterating
+    stops the passes."""
     # One buffer for all blocks: a new, wider array per block left heap holes
     # that lifted peak RSS by 8 MB in a 1024^2 run. Row block j of rows is
     # block j's q^T w: the next pass starts from it, and together the rows
     # are the Ritz step's product, so that step takes no pass of its own.
-    width = min(*w.shape, r * (niter + 1))
+    width = min(*w.shape, start.shape[1] * (niter + 1))
     basis, rows = np.empty((w.shape[0], width)), np.empty((width, w.shape[1]))
-    q, _ = qr_thin(w @ rng.normal((w.shape[1], r)))
-    basis[:, :r], k = q, r
+    q, _ = qr_thin(w @ start)
+    basis[:, :q.shape[1]], k = q, q.shape[1]
     for depth in range(niter + 1):
         rows[k - q.shape[1]:k] = qtw = q.T @ w
+        done = basis[:, :k]
         if depth == niter:
-            break
+            yield done, rows[:k], None, None
+            return
         # w (w^T q), taken as ((q^T w) w^T)^T: with w^T on the left OpenBLAS
         # ran this pass 2x slower (2048^2, 16 columns, 2 vCPUs).
         z = (qtw @ w.T).T
         before = np.linalg.norm(z, axis=0)
-        done = basis[:, :k]
         for _ in range(2):
             z -= done @ (done.T @ z)
         after = np.linalg.norm(z, axis=0)
-        if give_up is not None and depth == 1 and np.any(after > give_up * before):
-            return None
+        yield done, rows[:k], before, after
         # Deflate, then cut to the columns left: a full basis ends the loop too.
         z = z[:, after > 1e-10 * before][:, :width - k]
         if not z.shape[1]:
-            break
+            return
         q, _ = qr_thin(z)
         q -= done @ (done.T @ q)
         basis[:, k:k + q.shape[1]] = q
         k += q.shape[1]
-    f = _ritz(rows[:k].T, basis[:, :k], swap=True)
-    if give_up is not None:
-        # Weyl: sigma_(r+1)(w) <= theta_(r+1) + ||w - Q Q^T w||_2 for the Ritz
-        # values theta, so when that sum stays below theta_r no triplet
-        # outside the basis belongs in the top r. The difference is formed:
-        # ||w||^2 - ||Q^T w||^2 cancels to rounding where the basis holds w.
-        outside = frobenius_norm(basis[:, :k] @ rows[:k] - w)
-        theta_next = f.s[r] if f.rank > r else 0.0
-        if not (outside <= TOLERANCE * frobenius_norm(w)
-                or theta_next + outside < f.s[r - 1]):
-            return None
-    return f.truncate(r)

@@ -225,12 +225,12 @@ _baseline_memo: tuple = (None, 0.0)
 
 def _baseline_error(w: np.ndarray, cfg: QuantConfig, err_matrix: np.ndarray,
                     nuclear: float) -> float:
-    """qlora_error(w, cfg), computed once for consecutive calls on one
-    matrix: nuclear, the nuclear norm of the report's error matrix, when that
-    matrix holds the bits of the direct-quantization error (a zero-adapter
-    layer's does)."""
+    """qlora_error(w, cfg) for the matrix w that quant_report has
+    validated, computed once for consecutive calls on one matrix: nuclear,
+    the nuclear norm of the report's error matrix, when that matrix holds
+    the bits of the direct-quantization error (a zero-adapter layer's does)."""
     global _baseline_memo
-    data = np.ascontiguousarray(as_matrix(w))
+    data = np.ascontiguousarray(w)
     key = (hashlib.sha256(data).digest(), data.shape, cfg)
     if _baseline_memo[0] != key:
         direct = _direct_error(w, cfg)

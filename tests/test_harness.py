@@ -172,6 +172,14 @@ class TestMatrixFiles:
         with pytest.raises(FileFormatError):
             load_quantized(tmp_path / "m.psq4")
 
+    def test_quantized_zero_block_size_rejected(self, tmp_path):
+        save_quantized(tmp_path / "m.psq4", quantize(RandomSource(1).normal((8, 8))))
+        raw = bytearray((tmp_path / "m.psq4").read_bytes())
+        raw[16:20] = struct.pack("<I", 0)
+        (tmp_path / "m.psq4").write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError, match="invalid block_size 0"):
+            load_quantized(tmp_path / "m.psq4")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_quantized_non_finite_scale_rejected(self, tmp_path, bad):
         q = quantize(RandomSource(1).normal((8, 8)), QuantConfig(block_size=64))

@@ -234,6 +234,12 @@ class TestNorms:
                 top = _dsyevr(g, n - r + 1, n, b"N")[0]
                 _assert_eigenvectors(g, linalg._gram_basis(w, r).T[::-1], top)
 
+    def test_dsterf_failure_takes_the_full_svd_sum(self, monkeypatch):
+        m, calls = NUCLEAR_CASES["nf4_noise"](), []
+        monkeypatch.setattr(linalg, "_DSTERF", lambda *args: calls.append(args) or 1)
+        assert nuclear_norm(m) == _svd_sum(m)
+        assert len(calls) == 1
+
     def test_nuclear_zero_matrix_is_exactly_zero(self):
         assert nuclear_norm(np.zeros((5, 3))) == 0.0
 
@@ -249,6 +255,11 @@ class TestNorms:
 
 
 class TestExactSvd:
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)], ids=["0x5", "5x0", "0x0"])
+    def test_empty_matrix_gives_empty_factors(self, shape):
+        f = exact_svd(np.zeros(shape))
+        assert (f.u.shape, f.s.shape, f.v.shape) == ((shape[0], 0), (0,), (shape[1], 0))
+
     def test_identity(self):
         f = exact_svd(np.eye(3))
         np.testing.assert_allclose(f.s, [1.0, 1.0, 1.0])
@@ -758,8 +769,29 @@ MISSING_TOP_CASES = {
 }
 
 
+# Targets leading_svd's Krylov path serves, with the rank asked for. (At
+# rank 4 the gapped 300 x 200 target misses the contract.)
+ONE_LOOP_TARGETS = {
+    **{f"qpissa_{n}": (lambda n=n: _qpissa_second_target(n), 16) for n in (256, 512, 300, 200)},
+    **{f"gapped_{m}x{n}_r{r}": (lambda m=m, n=n, r=r: _gapped(m, n, r), r)
+       for m, n, r in ((64, 48, 4), (48, 64, 4), (300, 200, 8), (200, 300, 8), (256, 256, 4))},
+}
+
+
 class TestLeadingSvdKrylov:
     # The Krylov path: 4 r < min(m, n), and a gap after sigma_r.
+
+    @pytest.mark.parametrize("target", ONE_LOOP_TARGETS)
+    def test_served_call_is_randomized_svd_at_the_krylov_depth(self, target, monkeypatch):
+        # One Krylov loop serves both kernels: where the Krylov path serves
+        # leading_svd, its triplets are randomized_svd's at depth 3 from the
+        # path's fixed source, bit for bit.
+        make, r = ONE_LOOP_TARGETS[target]
+        w = make()
+        gram = _spy(monkeypatch, "_gram_svd")
+        _assert_same_bits(leading_svd(w, r), randomized_svd(w, r, linalg._KRYLOV_DEPTH,
+                                                            linalg._KRYLOV_SOURCE))
+        assert not gram
 
     @staticmethod
     def _assert_top_triplets(f, w, ref, projector_atol):
@@ -777,17 +809,23 @@ class TestLeadingSvdKrylov:
         # missing triplet: had the basis missed u_r, s_r would read
         # sigma_(r+1), off by tie relative. A near tie at r cannot pass the
         # Krylov path's separation test, so the Gram path serves the call;
-        # with a flat tail the Krylov path gives up before it. The pair's
-        # vectors mix by up to about eps / tie, hence the projectors'
-        # tolerance.
+        # with a flat tail the Krylov path gives up before it, after two
+        # blocks. The pair's vectors mix by up to about eps / tie, hence the
+        # projectors' tolerance.
         r = 8
         rest = np.geomspace(1e-2, 1e-3, 70) if tail == "gap" else np.linspace(0.99, 0.5, 70)
         w = _with_spectrum(96, 80, np.concatenate([np.geomspace(8.0, 2.0, r - 1),
                                                    [1.0, 1.0 / (1.0 + tie)], rest]), 41)
         ref = exact_svd(w).truncate(r)
-        krylov = _spy(monkeypatch, "_krylov_svd")
+        widths, ritz = _qr_widths(monkeypatch), _ritz_calls(monkeypatch)
+        gram = _spy(monkeypatch, "_gram_svd")
         f = leading_svd(w, r)
-        assert krylov == [None]
+        assert len(gram) == 1
+        if tail == "gap":
+            assert widths == [r] * 4 and _basis_widths(ritz) == [4 * r, r]
+            assert not _separates(w, r, ritz[0])
+        else:
+            assert widths == [r, r] and _basis_widths(ritz) == [r]
         self._assert_top_triplets(f, w, ref, 1e-14 / tie)
 
     def test_gapped_target_takes_the_krylov_path(self, monkeypatch):
@@ -797,10 +835,12 @@ class TestLeadingSvdKrylov:
         # the Gram path's).
         w = _qpissa_second_target(256)
         ref = exact_svd(w).truncate(16)
-        krylov, reduced = _spy(monkeypatch, "_krylov_svd"), _spy(monkeypatch, "_tridiagonal")
+        gram, reduced = _spy(monkeypatch, "_gram_svd"), _spy(monkeypatch, "_tridiagonal")
+        widths, ritz = _qr_widths(monkeypatch), _ritz_calls(monkeypatch)
         _forbid_full_svd(monkeypatch, w)
         f = leading_svd(w, 16)
-        assert len(krylov) == 1 and krylov[0] is not None and not reduced
+        assert not gram and not reduced
+        assert widths == [16] * 4 and _basis_widths(ritz) == [64]
         self._assert_top_triplets(f, w, ref, 1e-10)
         for got, want in ((f.u, ref.u), (f.v, ref.v)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
@@ -812,22 +852,22 @@ class TestLeadingSvdKrylov:
         w = generate_spectral_matrix(256, 256, 1.0, 31)
         w = w - dequantize(quantize(w))
         ref = linalg._gram_svd(w, 16)
-        krylov = _spy(monkeypatch, "_krylov_svd")
-        widths = []
-        monkeypatch.setattr(linalg, "qr_thin",
-                            lambda m, qr=linalg.qr_thin: widths.append(m.shape[1]) or qr(m))
+        gram, widths = _spy(monkeypatch, "_gram_svd"), _qr_widths(monkeypatch)
         _assert_same_bits(leading_svd(w, 16), ref)
-        assert krylov == [None] and widths == [16, 16]
+        assert len(gram) == 1 and widths == [16, 16]
 
     def test_missed_contract_takes_the_gram_bits(self, monkeypatch):
         # At sigma_r / sigma_(r+1) = 4 the path runs to depth 3 (the new
-        # block keeps under 0.05 of its norm), but its residual, about 1e-7,
-        # misses the contract: the result is the Gram path's, bit for bit.
+        # block keeps under 0.05 of its norm) and its basis passes the
+        # separation test, but its residual, about 1e-7, misses the
+        # contract: the result is the Gram path's, bit for bit.
         w = _gapped(64, 48, 4, gap=4.0)
         ref = linalg._gram_svd(w, 4)
-        krylov = _spy(monkeypatch, "_krylov_svd")
+        widths, ritz = _qr_widths(monkeypatch), _ritz_calls(monkeypatch)
+        gram = _spy(monkeypatch, "_gram_svd")
         _assert_same_bits(leading_svd(w, 4), ref)
-        assert len(krylov) == 1 and krylov[0] is not None
+        assert len(gram) == 1 and widths == [4] * 4 and _basis_widths(ritz) == [16, 4]
+        assert _separates(w, 4, ritz[0])
 
     def test_rank_deficient_past_its_rank(self, monkeypatch):
         # Rank 4 asked for 6: the depth-1 block is deflated away, so the
@@ -835,9 +875,10 @@ class TestLeadingSvdKrylov:
         # have zero singular values.
         w = RandomSource(4).normal((30, 4)) @ RandomSource(5).normal((4, 25))
         ref = exact_svd(w).truncate(6)
-        krylov = _spy(monkeypatch, "_krylov_svd")
+        gram, widths = _spy(monkeypatch, "_gram_svd"), _qr_widths(monkeypatch)
+        ritz = _ritz_calls(monkeypatch)
         f = leading_svd(w, 6)
-        assert len(krylov) == 1 and krylov[0] is not None
+        assert not gram and widths == [6] and _basis_widths(ritz) == [6]
         tol = 1e-12 * ref.s[0]
         np.testing.assert_allclose(f.s, ref.s, rtol=1e-12, atol=tol)
         for a, b in ((f.u[:, :4], ref.u[:, :4]), (f.v[:, :4], ref.v[:, :4])):
@@ -858,9 +899,9 @@ class TestLeadingSvdKrylov:
     @pytest.mark.parametrize("shape", [(64, 48), (48, 64)], ids=["tall", "wide"])
     def test_deterministic(self, shape, monkeypatch):
         w = _gapped(*shape, 4)
-        krylov = _spy(monkeypatch, "_krylov_svd")
+        gram, ritz = _spy(monkeypatch, "_gram_svd"), _ritz_calls(monkeypatch)
         a, b = leading_svd(w, 4), leading_svd(w, 4)
-        assert len(krylov) == 2 and None not in krylov
+        assert not gram and _basis_widths(ritz) == [16, 16]
         _assert_same_bits(a, b)
 
 
@@ -1069,9 +1110,7 @@ class TestRandomizedSvd:
     def test_rank_five_past_its_rank(self, shape, r, monkeypatch):
         u, _ = np.linalg.qr(RandomSource(1).normal((shape[0], 5)))
         v, _ = np.linalg.qr(RandomSource(2).normal((shape[1], 5)))
-        widths = []
-        monkeypatch.setattr(linalg, "qr_thin",
-                            lambda m, qr=linalg.qr_thin: widths.append(m.shape[1]) or qr(m))
+        widths = _qr_widths(monkeypatch)
         self._assert_exact_triplets((u * [9.0, 7.0, 5.0, 3.0, 1.0]) @ v.T, r, 8)
         # Once the blocks span the rank-5 range, the next one is deflated
         # away and no block follows.
@@ -1114,7 +1153,7 @@ class TestRandomizedSvd:
         # leading_svd's Krylov path serves the gapped case only.
         w = (_gapped(64, 48, 4) if shape == "gapped"
              else generate_spectral_matrix(*shape, 1.0, 3))
-        krylov = _spy(monkeypatch, "_krylov_svd")
+        gram = _spy(monkeypatch, "_gram_svd")
         wk, odd = np.ldexp(w, k), k & 1
         exact = np.array_equal(np.ldexp(wk, -k), w)
 
@@ -1134,7 +1173,7 @@ class TestRandomizedSvd:
                      (np.ldexp(got.adapter.b, -half), ref.adapter.b),
                      (np.ldexp(got.base, odd - k), ref.base)):
             same(a, b)
-        assert (None not in krylov) == (shape == "gapped")
+        assert (not gram) == (shape == "gapped")
 
 
 # sigma_1 of 1.7e308 times ones (3.4e308 at 2 x 2) lies past the largest float64.
@@ -1185,6 +1224,35 @@ def _spy(monkeypatch, name):
     seen, fn = [], getattr(linalg, name)
     monkeypatch.setattr(linalg, name, lambda *a: seen.append(fn(*a)) or seen[-1])
     return seen
+
+
+def _qr_widths(monkeypatch):
+    # The column count of each linalg.qr_thin input: one per Krylov block.
+    widths, qr = [], linalg.qr_thin
+    monkeypatch.setattr(linalg, "qr_thin", lambda m: widths.append(m.shape[1]) or qr(m))
+    return widths
+
+
+def _ritz_calls(monkeypatch):
+    # Each linalg._ritz call as (product, basis, result).
+    seen, ritz = [], linalg._ritz
+    monkeypatch.setattr(linalg, "_ritz", lambda p, basis, swap: seen.append(
+        (p, basis, ritz(p, basis, swap))) or seen[-1][2])
+    return seen
+
+
+def _basis_widths(ritz):
+    return [basis.shape[1] for _, basis, _ in ritz]
+
+
+def _separates(w, r, call):
+    # leading_svd's separation test, recomputed from the Krylov path's Ritz
+    # call: its product p = w^T Q, its basis Q and its Ritz values theta.
+    # Weyl: sigma_(r+1)(w) <= theta_(r+1) + ||w - Q Q^T w||.
+    p, basis, f = call
+    outside = frobenius_norm(basis @ p.T - w)
+    theta_next = f.s[r] if f.rank > r else 0.0
+    return outside <= linalg.TOLERANCE * frobenius_norm(w) or theta_next + outside < f.s[r - 1]
 
 
 RITZ_SHAPES = {"tall": ((60, 40), False), "wide": ((40, 60), True),
